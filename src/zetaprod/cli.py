@@ -14,7 +14,6 @@ import cmath
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -24,7 +23,6 @@ from .errors import DomainError, InsufficientZerosError, SingularityError, Zetap
 from .specfun import log_xi_asymptotic, log_xi_z, xi_z
 from .transforms import ROW_VERIFICATION_PAIRS, cosh_demo, verify_table_row
 from .zerodist import (
-    SmoothCountModel,
     ZeroList,
     find_zeros,
     n_of_t,
@@ -45,45 +43,6 @@ _DEFAULT_TOL = {
     "omega-mean": 0.25,
     "staircase": 2.0,
 }
-
-
-@dataclass
-class RunConfig:
-    """Validated bag of options for one subcommand run."""
-
-    subcommand: str
-    t_max: float = 100.0
-    z_samples: tuple[complex, ...] = ()
-    tolerances: dict[str, float] = field(default_factory=dict)
-    zero_file: Path | None = None
-    output_path: Path | None = None
-    fourier_terms: int = 40
-    grid_step: float = 0.1
-    scan_step: float = 0.25
-    jobs: int = 1
-    n_max: int = 10
-    rows: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9)
-    all_pairs: bool = False
-
-    def __post_init__(self):
-        if not (0 < self.t_max <= 1000):
-            raise DomainError(f"t_max must lie in (0, 1000], got {self.t_max!r}")
-        for name, value in self.tolerances.items():
-            if name not in _DEFAULT_TOL:
-                raise DomainError(
-                    f"unknown tolerance {name!r}; known: {', '.join(sorted(_DEFAULT_TOL))}"
-                )
-            if not (value > 0):
-                raise DomainError(f"tolerance {name} must be positive, got {value!r}")
-        if self.fourier_terms < 1:
-            raise DomainError(f"fourier_terms must be >= 1, got {self.fourier_terms!r}")
-        if not (self.grid_step > 0):
-            raise DomainError(f"grid step must be positive, got {self.grid_step!r}")
-        if self.n_max < 1:
-            raise DomainError(f"n must be >= 1, got {self.n_max!r}")
-
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, _DEFAULT_TOL[name])
 
 
 def _g(x: float) -> str:
@@ -129,9 +88,9 @@ def _clip(zeros: ZeroList, t_max: float) -> ZeroList:
     return ZeroList(keep, t_max=t_max, source=zeros.source)
 
 
-def _resolve_zeros(cfg: RunConfig, needed_t: float) -> ZeroList:
+def _resolve_zeros(args: argparse.Namespace, needed_t: float) -> ZeroList:
     """Zero ordinates below needed_t: explicit file, then env, then scan."""
-    path = cfg.zero_file or os.environ.get(ZERO_FILE_ENV)
+    path = args.zero_file or os.environ.get(ZERO_FILE_ENV)
     if path:
         zeros = ZeroList.read(path)
         if zeros.t_max < needed_t - 1e-9:
@@ -141,11 +100,11 @@ def _resolve_zeros(cfg: RunConfig, needed_t: float) -> ZeroList:
         if zeros.t_max > needed_t:
             zeros = _clip(zeros, needed_t)
         return zeros
-    return find_zeros(needed_t, step=cfg.scan_step, jobs=cfg.jobs)
+    return find_zeros(needed_t, step=args.scan_step, jobs=args.jobs)
 
 
-def _cmd_xi_eval(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    z = cfg.z_samples[0]
+def _cmd_xi_eval(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+    z = args.z
     xi = xi_z(z)
     real_input = z.imag == 0
 
@@ -177,12 +136,12 @@ def _cmd_xi_eval(cfg: RunConfig) -> tuple[list[str], list[str]]:
     return [" ".join(parts)], failures
 
 
-def _cmd_verify_table(cfg: RunConfig) -> tuple[list[str], list[str]]:
+def _cmd_verify_table(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     lines: list[str] = []
     failures: list[str] = []
-    for row in cfg.rows:
+    for row in args.rows:
         pairs = ROW_VERIFICATION_PAIRS[row]
-        if not cfg.all_pairs:
+        if not args.all_pairs:
             pairs = pairs[:1]
         for a, z in pairs:
             chk = verify_table_row(row, a, z)
@@ -196,75 +155,72 @@ def _cmd_verify_table(cfg: RunConfig) -> tuple[list[str], list[str]]:
     return lines, failures
 
 
-def _cmd_cosh_demo(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    z = cfg.z_samples[0]
-    res = cosh_demo(z, cfg.fourier_terms)
+def _cmd_cosh_demo(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+    z = args.z
+    res = cosh_demo(z, args.fourier_terms)
     diff = abs(res.reconstructed - res.exact)
     line = (
         f"reconstructed={_gc(res.reconstructed)} exact={_gc(res.exact)} "
-        f"abs_diff={diff:.3e} terms={cfg.fourier_terms}"
+        f"abs_diff={diff:.3e} terms={args.fourier_terms}"
     )
     failures: list[str] = []
-    if diff > cfg.tol("cosh"):
-        failures.append(f"|reconstructed - exact| = {diff:.3e} > {cfg.tol('cosh'):.3e}")
+    if diff > args.tol["cosh"]:
+        failures.append(f"|reconstructed - exact| = {diff:.3e} > {args.tol['cosh']:.3e}")
     return [line], failures
 
 
-def _cmd_find_zeros(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    zeros = find_zeros(cfg.t_max, step=cfg.scan_step, jobs=cfg.jobs)
-    if cfg.output_path is not None:
-        zeros.write(cfg.output_path)
-        return [f"wrote {len(zeros)} zeros to {cfg.output_path}"], []
-    lines = ["# xi zero ordinates (imaginary-axis, z-coordinates)",
-             f"# t_max={zeros.t_max:.10g}"]
-    lines += [f"{k:.10f}" for k in zeros.ordinates]
-    return lines, []
+def _cmd_find_zeros(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+    zeros = find_zeros(args.t_max, step=args.scan_step, jobs=args.jobs)
+    if args.output_path is not None:
+        zeros.write(args.output_path)
+        return [f"wrote {len(zeros)} zeros to {args.output_path}"], []
+    return zeros.to_text().splitlines(), []
 
 
-def _cmd_count(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    zeros = _resolve_zeros(cfg, cfg.t_max)
-    actual = zeros.count_below(cfg.t_max)
-    formula = n_of_t(cfg.t_max)
+def _cmd_count(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+    zeros = _resolve_zeros(args, args.t_max)
+    actual = zeros.count_below(args.t_max)
+    formula = n_of_t(args.t_max)
     diff = actual - formula
     lines = [f"actual={actual} formula={_g(formula)} diff={_g(diff)}"]
     failures: list[str] = []
-    if abs(diff) >= cfg.tol("count"):
-        failures.append(f"|actual - formula| = {abs(diff):.3g} >= {cfg.tol('count'):g}")
+    if abs(diff) >= args.tol["count"]:
+        failures.append(f"|actual - formula| = {abs(diff):.3g} >= {args.tol['count']:g}")
     return lines, failures
 
 
-def _cmd_predict(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    predicted = predict_zeros(cfg.n_max)
-    zeros = _resolve_zeros(cfg, float(predicted[-1]) + 3.0)
-    if len(zeros) < cfg.n_max:
+def _cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+    predicted = predict_zeros(args.n_max)
+    zeros = _resolve_zeros(args, float(predicted[-1]) + 3.0)
+    if len(zeros) < args.n_max:
         raise InsufficientZerosError(
-            f"need {cfg.n_max} zeros, zero source provides {len(zeros)}"
+            f"need {args.n_max} zeros, zero source provides {len(zeros)}"
         )
-    actual = zeros.ordinates[: cfg.n_max]
+    actual = zeros.ordinates[: args.n_max]
     devs = actual - predicted
     lines = ["n,predicted_k,actual_k,deviation"]
-    for i in range(cfg.n_max):
+    for i in range(args.n_max):
         lines.append(f"{i + 1},{_g(predicted[i])},{_g(actual[i])},{_g(devs[i])}")
     failures: list[str] = []
     mean_dev = float(np.mean(np.abs(devs)))
     max_dev = float(np.max(np.abs(devs)))
-    if mean_dev > cfg.tol("predict-mean"):
-        failures.append(f"mean |deviation| = {mean_dev:.3g} > {cfg.tol('predict-mean'):g}")
-    if max_dev > cfg.tol("predict-max"):
-        failures.append(f"max |deviation| = {max_dev:.3g} > {cfg.tol('predict-max'):g}")
+    if mean_dev > args.tol["predict-mean"]:
+        failures.append(f"mean |deviation| = {mean_dev:.3g} > {args.tol['predict-mean']:g}")
+    if max_dev > args.tol["predict-max"]:
+        failures.append(f"max |deviation| = {max_dev:.3g} > {args.tol['predict-max']:g}")
     return lines, failures
 
 
-def _cmd_residual(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    zeros = _resolve_zeros(cfg, cfg.t_max)
-    z_values = [w.real for w in cfg.z_samples]
+def _cmd_residual(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+    zeros = _resolve_zeros(args, args.t_max)
+    z_values = [w.real for w in args.z_samples]
     report = residual_report(z_values, zeros)
     lines = [f"# constant_derived={_g(report.constant_derived)}",
              "z,residual,tail_estimate"]
     failures: list[str] = []
     for z, value, estimate in report.samples:
         lines.append(f"{_g(z)},{_g(value)},{_g(estimate)}")
-        allowed = max(cfg.tol("residual"), estimate)
+        allowed = max(args.tol["residual"], estimate)
         if abs(value - report.constant_derived) > allowed:
             failures.append(
                 f"residual at z={_g(z)} is {_g(value)}, outside "
@@ -273,27 +229,27 @@ def _cmd_residual(cfg: RunConfig) -> tuple[list[str], list[str]]:
     return lines, failures
 
 
-def _cmd_omega(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    zeros = _resolve_zeros(cfg, cfg.t_max)
-    stats = omega_stats(zeros, grid_step=cfg.grid_step)
+def _cmd_omega(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+    zeros = _resolve_zeros(args, args.t_max)
+    stats = omega_stats(zeros, grid_step=args.grid_step)
     lines = ["k,omega,running_mean"]
     for (k, om), (_, mean) in zip(stats.grid, stats.running_mean):
         lines.append(f"{_g(k)},{_g(om)},{_g(mean)}")
     failures: list[str] = []
-    if cfg.t_max >= 50 and abs(stats.final_mean) > cfg.tol("omega-mean"):
+    if args.t_max >= 50 and abs(stats.final_mean) > args.tol["omega-mean"]:
         failures.append(
-            f"|running mean| at t_max = {abs(stats.final_mean):.3g} > {cfg.tol('omega-mean'):g}"
+            f"|running mean| at t_max = {abs(stats.final_mean):.3g} > {args.tol['omega-mean']:g}"
         )
     return lines, failures
 
 
-def _cmd_report(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    zeros = _resolve_zeros(cfg, cfg.t_max)
-    n_lim = int(math.ceil(n_of_t(cfg.t_max))) + 2
+def _cmd_report(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+    zeros = _resolve_zeros(args, args.t_max)
+    n_lim = int(math.ceil(n_of_t(args.t_max))) + 2
     predicted = predict_zeros(n_lim)
-    n = int(round(cfg.t_max / cfg.grid_step))
-    ks = cfg.grid_step * np.arange(1, n + 1)
-    ks = ks[ks <= cfg.t_max + 1e-12]
+    n = int(round(args.t_max / args.grid_step))
+    ks = args.grid_step * np.arange(1, n + 1)
+    ks = ks[ks <= args.t_max + 1e-12]
     phi_sm = phi_smooth(ks)
     phi_act = zeros.count_below(ks)
     phi_prd = np.searchsorted(predicted, ks, side="right")
@@ -302,14 +258,14 @@ def _cmd_report(cfg: RunConfig) -> tuple[list[str], list[str]]:
         lines.append(f"{_g(k)},{_g(sm)},{int(act)},{int(prd)}")
     failures: list[str] = []
     max_gap = int(np.max(np.abs(phi_act - phi_prd)))
-    if max_gap > cfg.tol("staircase"):
+    if max_gap > args.tol["staircase"]:
         failures.append(
-            f"actual and predicted staircases differ by {max_gap} > {cfg.tol('staircase'):g}"
+            f"actual and predicted staircases differ by {max_gap} > {args.tol['staircase']:g}"
         )
     return lines, failures
 
 
-_HANDLERS: dict[str, Callable[[RunConfig], tuple[list[str], list[str]]]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[list[str], list[str]]]] = {
     "xi-eval": _cmd_xi_eval,
     "verify-table": _cmd_verify_table,
     "cosh-demo": _cmd_cosh_demo,
@@ -400,9 +356,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
+def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Validate the parsed options and replace args.tol by every tolerance.
+
+    A malformed --tol is a usage error (exit 2); an out-of-range value
+    raises :class:`DomainError` like any other computation error (exit 1).
+    """
     tolerances: dict[str, float] = {}
-    for item in getattr(args, "tol", []) or []:
+    for item in args.tol:
         name, sep, raw = item.partition("=")
         if not sep or not name:
             parser.error(f"--tol expects NAME=VALUE, got {item!r}")
@@ -411,33 +372,40 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         except ValueError:
             parser.error(f"--tol {name}: not a number: {raw!r}")
 
-    kwargs = {"subcommand": args.subcommand, "tolerances": tolerances}
-    z = getattr(args, "z", None)
-    if isinstance(z, complex):
-        kwargs["z_samples"] = (z,)
-    for name in ("t_max", "z_samples", "zero_file", "output_path", "fourier_terms",
-                 "grid_step", "scan_step", "jobs", "n_max", "rows", "all_pairs"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            kwargs[name] = getattr(args, name)
-    return RunConfig(**kwargs)
+    if "t_max" in args and not (0 < args.t_max <= 1000):
+        raise DomainError(f"t_max must lie in (0, 1000], got {args.t_max!r}")
+    for name, value in tolerances.items():
+        if name not in _DEFAULT_TOL:
+            raise DomainError(
+                f"unknown tolerance {name!r}; known: {', '.join(sorted(_DEFAULT_TOL))}"
+            )
+        if not (value > 0):
+            raise DomainError(f"tolerance {name} must be positive, got {value!r}")
+    if "fourier_terms" in args and args.fourier_terms < 1:
+        raise DomainError(f"fourier_terms must be >= 1, got {args.fourier_terms!r}")
+    if "grid_step" in args and not (args.grid_step > 0):
+        raise DomainError(f"grid step must be positive, got {args.grid_step!r}")
+    if "n_max" in args and args.n_max < 1:
+        raise DomainError(f"n must be >= 1, got {args.n_max!r}")
+    args.tol = {**_DEFAULT_TOL, **tolerances}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(parser, args)
-        lines, failures = _HANDLERS[cfg.subcommand](cfg)
+        _check_args(parser, args)
+        lines, failures = _HANDLERS[args.subcommand](args)
     except ZetaprodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     text = "\n".join(lines) + "\n"
-    if cfg.subcommand == "find-zeros" and cfg.output_path is not None:
+    if args.subcommand == "find-zeros" and args.output_path is not None:
         # the handler already wrote the zero file; lines carry the notice
         sys.stdout.write(text)
-    elif cfg.output_path is not None:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
+    elif args.output_path is not None:
+        with open(args.output_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

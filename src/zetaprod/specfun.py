@@ -63,26 +63,34 @@ def _log_sin(w: complex) -> complex:
     return iw + _log1p_c(-cmath.exp(-2 * iw)) - 0.5j * PI - LN_2
 
 
+def _em_tail(s: complex, base: complex, head: complex) -> complex:
+    """head + sum_{k>=0} (base + k)^(-s) by Euler-Maclaurin at offset base.
+
+    Boundary terms, then Bernoulli corrections until one falls below 1e-16
+    of the running total.
+    """
+    tot = head
+    tot += base ** (1 - s) / (s - 1) + 0.5 * base ** (-s)
+    poch = complex(s)
+    bpow = base ** (-s - 1)
+    fact = 2.0
+    for k, b2k in enumerate(_BERNOULLI, start=1):
+        term = (b2k / fact) * poch * bpow
+        tot += term
+        if abs(term) < 1e-16 * abs(tot):
+            break
+        poch *= (s + 2 * k - 1) * (s + 2 * k)
+        bpow /= base * base
+        fact *= (2 * k + 1) * (2 * k + 2)
+    return tot
+
+
 def _zeta_em(s: complex) -> complex:
     # Euler-Maclaurin with cutoff N grown with |Im s|; caller ensures
     # re(s) >= 1/2 and s != 1.
-    t = abs(s.imag)
-    big_n = max(20, int(t / 2) + 10)
+    big_n = max(20, int(abs(s.imag) / 2) + 10)
     n = np.arange(1, big_n)
-    tot = complex(np.sum(n ** (-s)))
-    tot += big_n ** (1 - s) / (s - 1) + 0.5 * big_n ** (-s)
-    poch = s
-    npow = big_n ** (-s - 1)
-    fact = 2.0
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        term = (b2k / fact) * poch * npow
-        tot += term
-        if abs(term) < 1e-17 * abs(tot):
-            break
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
-        npow /= big_n * big_n
-        fact *= (2 * k + 1) * (2 * k + 2)
-    return tot
+    return _em_tail(s, big_n, complex(np.sum(n ** (-s))))
 
 
 def _s1_zeta(w: complex) -> complex:
@@ -142,24 +150,11 @@ def hurwitz_zeta_even(m: int, a: complex) -> complex:
     s = 2 * m
     need = s + 16.0
     cut = int(math.ceil(need - abs(c))) if abs(c) < need else 0
-    tot = 0j
+    head = 0j
     if cut:
         k = np.arange(cut)
-        tot += complex(np.sum((c + k) ** (-s)))
-    base = c + cut
-    tot += base ** (1 - s) / (s - 1) + 0.5 * base ** (-s)
-    poch = complex(s)
-    bpow = base ** (-s - 1)
-    fact = 2.0
-    for j, b2 in enumerate(_BERNOULLI, start=1):
-        term = (b2 / fact) * poch * bpow
-        tot += term
-        if abs(term) < 1e-16 * abs(tot):
-            break
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        bpow /= base * base
-        fact *= (2 * j + 1) * (2 * j + 2)
-    return tot
+        head += complex(np.sum((c + k) ** (-s)))
+    return _em_tail(s, c + cut, head)
 
 
 def stirling_w(a: complex) -> complex:

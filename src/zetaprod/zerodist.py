@@ -14,7 +14,7 @@ import cmath
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -60,7 +60,8 @@ def solve_a(tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-_A_ROOT = solve_a()
+#: The root a of phi_smooth, where the smooth counting curve starts.
+A_ROOT = solve_a()
 
 
 def t5_constant(a: float) -> float:
@@ -79,35 +80,11 @@ def n_of_t(t: float) -> float:
     return phi_smooth(t)
 
 
-@dataclass(frozen=True)
-class SmoothCountModel:
-    """The smooth counting curve anchored at its root a."""
-
-    a: float = _A_ROOT
-
-    def __post_init__(self):
-        if not (TWO_PI < self.a < 20.0):
-            raise DomainError(f"a must lie in (2 pi, 20), got {self.a!r}")
-        if abs(phi_smooth(self.a)) > 1e-10:
-            raise DomainError(f"a = {self.a!r} is not a root of the curve")
-
-    def phi(self, k):
-        return phi_smooth(k)
-
-    def density(self, k):
-        """phi'(k) = ln(k/2pi) / 2pi."""
-        arr = np.asarray(k, dtype=float)
-        out = np.log(arr / TWO_PI) / TWO_PI
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    def t4(self, z: complex) -> complex:
-        z = complex(z)
-        return (z / 2) * cmath.log(z / TWO_PI) - z / 2 + 1.75 * cmath.log(z)
-
-    def t5(self, z: complex) -> complex:
-        return self.t4(z) + t5_constant(self.a)
+def t5(z: complex) -> complex:
+    """T4 + t5_constant(a), with T4 = (z/2) ln(z/2pi) - z/2 + (7/4) ln z."""
+    z = complex(z)
+    t4 = (z / 2) * cmath.log(z / TWO_PI) - z / 2 + 1.75 * cmath.log(z)
+    return t4 + t5_constant(A_ROOT)
 
 
 class ZeroSource(Enum):
@@ -133,9 +110,9 @@ class ZeroList:
         if len(arr):
             if np.any(np.diff(arr) <= 0):
                 raise DomainError("ordinates must be strictly ascending")
-            if arr[0] <= _A_ROOT:
+            if arr[0] <= A_ROOT:
                 raise DomainError(
-                    f"first ordinate {arr[0]:g} is not above the curve root {_A_ROOT:g}"
+                    f"first ordinate {arr[0]:g} is not above the curve root {A_ROOT:g}"
                 )
             if arr[-1] >= self.t_max:
                 raise DomainError("all ordinates must lie strictly below t_max")
@@ -153,11 +130,15 @@ class ZeroList:
             return int(out)
         return out
 
-    def write(self, path) -> None:
+    def to_text(self) -> str:
+        """The zero-file format: a t_max header, then one ordinate per line."""
         lines = ["# xi zero ordinates (imaginary-axis, z-coordinates)",
                  f"# t_max={self.t_max:.10g}"]
         lines += [f"{k:.10f}" for k in self.ordinates]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return "\n".join(lines) + "\n"
+
+    def write(self, path) -> None:
+        Path(path).write_text(self.to_text(), encoding="utf-8")
 
     @classmethod
     def _parse(cls, lines: Iterable[str], t_max: float | None, source: ZeroSource) -> "ZeroList":
@@ -285,11 +266,7 @@ class ResidualSample(NamedTuple):
     tail_estimate: float
 
 
-def residual(
-    z: float,
-    zeros: ZeroList,
-    model: SmoothCountModel | None = None,
-) -> ResidualSample:
+def residual(z: float, zeros: ZeroList) -> ResidualSample:
     """Exact zero product plus smooth tail, minus T5, at real z >= 50.
 
     The listed zeros enter exactly through the step transform; beyond
@@ -305,8 +282,6 @@ def residual(
     z = float(z)
     if z < 50:
         raise DomainError("residual requires real z >= 50")
-    if model is None:
-        model = SmoothCountModel()
     if zeros.t_max < 2 * z:
         raise InsufficientZerosError(
             f"need zeros to t_max >= 2z = {2 * z:g}, have {zeros.t_max:g}"
@@ -323,9 +298,9 @@ def residual(
                               abs_tol=1e-10, rel_tol=1e-10)
     # Splice boundary term: by parts over [t_max, inf) the oscillatory
     # part contributes -log(1+z^2/t^2)*Omega(t) at t = t_max exactly.
-    omega_t = len(zeros.ordinates) - model.phi(big_t)
+    omega_t = len(zeros.ordinates) - phi_smooth(big_t)
     boundary = -math.log1p(zz / (big_t * big_t)) * omega_t
-    value = step_part + tail.real + boundary - model.t5(z).real
+    value = step_part + tail.real + boundary - t5(z).real
     return ResidualSample(value, 1.0 / big_t + 2.0 / z + qerr)
 
 
@@ -344,18 +319,12 @@ class ResidualReport:
     constant_paper: float = 0.0464
 
 
-def residual_report(
-    z_values: Sequence[float],
-    zeros: ZeroList,
-    model: SmoothCountModel | None = None,
-) -> ResidualReport:
-    if model is None:
-        model = SmoothCountModel()
+def residual_report(z_values: Sequence[float], zeros: ZeroList) -> ResidualReport:
     samples = []
     for z in z_values:
-        sample = residual(z, zeros, model)
+        sample = residual(z, zeros)
         samples.append((float(z), sample.residual, sample.tail_estimate))
-    derived = 0.25 * math.log(PI / 2) - math.log(xi_z(0).real) - t5_constant(model.a)
+    derived = 0.25 * math.log(PI / 2) - math.log(xi_z(0).real) - t5_constant(A_ROOT)
     return ResidualReport(samples=tuple(samples), constant_derived=derived)
 
 
@@ -380,21 +349,14 @@ class OmegaStats:
         return int(np.sum(np.diff(np.sign(om)) != 0))
 
 
-def omega_stats(
-    zeros: ZeroList,
-    model: SmoothCountModel | None = None,
-    grid_step: float = 0.1,
-) -> OmegaStats:
+def omega_stats(zeros: ZeroList, grid_step: float = 0.1) -> OmegaStats:
     """Omega on a grid over [a, zeros.t_max] with its running mean."""
-    if model is None:
-        model = SmoothCountModel()
     if not (0 < grid_step <= 0.1):
         raise DomainError(f"grid_step must lie in (0, 0.1], got {grid_step!r}")
     if not len(zeros):
         raise DomainError("omega_stats needs a nonempty zero list")
-    a = model.a
-    n = int(math.floor((zeros.t_max - a) / grid_step))
-    ks = a + grid_step * np.arange(n + 1)
+    n = int(math.floor((zeros.t_max - A_ROOT) / grid_step))
+    ks = A_ROOT + grid_step * np.arange(n + 1)
     if ks[-1] < zeros.t_max - 1e-9:
         ks = np.append(ks, zeros.t_max)
     omega = zeros.count_below(ks) - phi_smooth(ks)
@@ -407,7 +369,7 @@ def omega_stats(
     )
 
 
-def predict_zeros(n_max: int, model: SmoothCountModel | None = None) -> np.ndarray:
+def predict_zeros(n_max: int) -> np.ndarray:
     """Ordinates where the smooth curve crosses n - 1/2, for n = 1..n_max.
 
     These are the jump positions of the predicted staircase; bisection to
@@ -417,15 +379,13 @@ def predict_zeros(n_max: int, model: SmoothCountModel | None = None) -> np.ndarr
     if n_max != int(n_max) or int(n_max) < 1:
         raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
     n_max = int(n_max)
-    if model is None:
-        model = SmoothCountModel()
     out = np.empty(n_max)
     hi = 20.0
     for n in range(1, n_max + 1):
         target = n - 0.5
         while phi_smooth(hi) < target:
             hi *= 1.5
-        lo = model.a
+        lo = A_ROOT
         top = hi
         while top - lo > 1e-9:
             mid = 0.5 * (lo + top)
@@ -443,21 +403,15 @@ class CrossingCount(NamedTuple):
     bound: float
 
 
-def crossing_count(
-    k_a: float,
-    k_b: float,
-    model: SmoothCountModel | None = None,
-) -> CrossingCount:
+def crossing_count(k_a: float, k_b: float) -> CrossingCount:
     """phi(k_b) - phi(k_a), exactly and by the midpoint shortcut.
 
     The shortcut is (k_b - k_a)/2pi * ln((k_a + k_b)/4pi); its error is a
     second-order midpoint-rule remainder, guaranteed below
     (k_b - k_a)^3 / (8 pi k_a^2).
     """
-    if model is None:
-        model = SmoothCountModel()
-    if not (k_a > model.a):
-        raise DomainError(f"k_a must exceed the curve root {model.a:g}")
+    if not (k_a > A_ROOT):
+        raise DomainError(f"k_a must exceed the curve root {A_ROOT:g}")
     if k_b < k_a:
         raise DomainError("k_b must be >= k_a")
     exact = phi_smooth(k_b) - phi_smooth(k_a)

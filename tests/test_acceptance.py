@@ -33,7 +33,7 @@ from zetaprod.transforms import (
     verify_table_row,
 )
 from zetaprod.zerodist import (
-    SmoothCountModel,
+    A_ROOT,
     n_of_t,
     predict_zeros,
     residual_report,
@@ -235,8 +235,7 @@ def test_criterion9_predictor(acceptance_log, scan100):
     max_dev = float(devs.max())
 
     staircase = predict_zeros(40)
-    model = SmoothCountModel()
-    ks = np.arange(model.a + 0.05, 100.0, 0.05)
+    ks = np.arange(A_ROOT + 0.05, 100.0, 0.05)
     gap = int(np.max(np.abs(
         zeros.count_below(ks) - np.searchsorted(staircase, ks, side="right")
     )))

@@ -1,0 +1,83 @@
+"""Golden CLI outputs: every subcommand at a fixed, fast configuration.
+
+Each case stores the argv, the exit status and the sha256 of stdout.  A
+refactor that claims "same behaviour" must keep all three.  Zero-consuming
+subcommands read the bundled zero file; ``find-zeros`` runs once serially and
+once with two workers, so output that does not depend on ``--jobs`` is under
+test at the CLI level.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from importlib import resources
+
+import pytest
+
+from zetaprod.cli import ZERO_FILE_ENV, main
+
+ZF = "<bundled>"
+
+# (argv, exit status, sha256 of stdout); ZF stands for the bundled zero file.
+CASES = (
+    (("xi-eval", "--z", "0"), 0,
+     "d1512bf2c2c6db33ba60a79e8f04fa5ee5db56bc5ae5842309d7229a93283a0f"),
+    (("xi-eval", "--z", "12,3"), 0,
+     "f4aa653e4608ae28f54c5ee82955074289a2479beb01e827159f749202026eb1"),
+    (("verify-table", "--rows", "1,4,9", "--all-pairs"), 0,
+     "b761ed94ee115c6f91030819fb76d54c016e3e22ea783aee0d40614fa790d552"),
+    (("cosh-demo", "--z", "2", "--terms", "40"), 0,
+     "ab3a3c09d215e5fb1df810698919f7b35d0fb01bda01ce7675cedc3344502d09"),
+    (("cosh-demo", "--z", "1", "--terms", "2"), 1,
+     "1bd832b292328cc882fded9815aac24237d54946da4b936449d2fe850df0f545"),
+    (("cosh-demo", "--z", "2", "--terms", "0"), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("find-zeros", "--t-max", "30"), 0,
+     "9aa37fac1eb17ec6aadab43919009a976760ff13f316090cc047931ff51f463c"),
+    (("find-zeros", "--t-max", "30", "--jobs", "2"), 0,
+     "9aa37fac1eb17ec6aadab43919009a976760ff13f316090cc047931ff51f463c"),
+    (("count", "--t-max", "50", "--zero-file", ZF), 0,
+     "da216da62c51444cbf0d5aec4782f20dfebdb4a8c9c42dd18435fd6f62965158"),
+    (("count", "--t-max", "50", "--zero-file", ZF, "--tol", "count=0.1"), 1,
+     "da216da62c51444cbf0d5aec4782f20dfebdb4a8c9c42dd18435fd6f62965158"),
+    (("count", "--t-max", "50", "--zero-file", ZF, "--tol", "nope=1"), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("count", "--t-max", "1200", "--zero-file", ZF), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("count", "--t-max", "50", "--zero-file", ZF, "--tol", "count"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("predict", "--n", "25", "--zero-file", ZF), 0,
+     "b96450a79e976fa1c55676aa4a068f47c312262024a5edb5ad3c5ec255566aa5"),
+    (("predict", "--n", "0", "--zero-file", ZF), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("residual", "--z", "50", "--t-max", "100", "--zero-file", ZF), 0,
+     "c62c73d24c71ab06f6b7a321baebacae6d8c4cd5e60b29d3b184e0ace707cf87"),
+    (("omega", "--t-max", "100", "--step", "0.1", "--zero-file", ZF), 0,
+     "af6d1608733833f71a4ebf0f6add65d4dc1d8437037cf1371106bf6895cf47b0"),
+    (("omega", "--t-max", "100", "--step", "0", "--zero-file", ZF), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("report", "--t-max", "100", "--step", "0.5", "--zero-file", ZF), 0,
+     "b91a33199e3680692e3933bce6185337489e92d5a696d13524dcf0a900fffd0b"),
+)
+
+
+@pytest.fixture(scope="module")
+def zero_file():
+    with resources.as_file(resources.files("zetaprod") / "data" / "zeros_t100.txt") as path:
+        yield str(path)
+
+
+def run_case(argv, zero_file, capsys) -> tuple[int, str]:
+    argv = [zero_file if a == ZF else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv,code,digest", CASES, ids=[" ".join(c[0]) for c in CASES])
+def test_golden(argv, code, digest, zero_file, capsys, monkeypatch):
+    monkeypatch.delenv(ZERO_FILE_ENV, raising=False)
+    assert run_case(argv, zero_file, capsys) == (code, digest)

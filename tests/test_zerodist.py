@@ -12,8 +12,9 @@ from zetaprod.errors import (
     InsufficientZerosError,
     RangeError,
 )
+from zetaprod.specfun import log_xi_asymptotic
 from zetaprod.zerodist import (
-    SmoothCountModel,
+    A_ROOT,
     ZeroList,
     ZeroSource,
     crossing_count,
@@ -25,6 +26,7 @@ from zetaprod.zerodist import (
     residual,
     residual_report,
     solve_a,
+    t5,
     t5_constant,
 )
 
@@ -43,6 +45,7 @@ def test_solve_a_value():
     assert abs(a - 9.6769) < 1e-3
     assert abs(a - 9.676906787166) < 1e-8
     assert abs(phi_smooth(a)) < 1e-11
+    assert A_ROOT == a
 
 
 def test_t5_constant_value():
@@ -68,23 +71,11 @@ def test_phi_smooth_array():
     assert abs(out[1] - 9.4227817898) < 1e-8
 
 
-def test_model_density_is_curve_slope():
-    model = SmoothCountModel()
-    for k in (15.0, 40.0, 90.0):
-        h = 1e-5
-        slope = (phi_smooth(k + h) - phi_smooth(k - h)) / (2 * h)
-        assert abs(model.density(k) - slope) < 1e-8
-
-
-def test_model_t5_is_t4_plus_constant():
-    model = SmoothCountModel()
+def test_t5_is_t4_plus_constant():
+    # T4 is the asymptotic main sum of ln xi_z without its (1/4) ln(pi/2)
     z = 30 + 4j
-    assert model.t5(z) == model.t4(z) + t5_constant(model.a)
-
-
-def test_model_rejects_non_root():
-    with pytest.raises(DomainError):
-        SmoothCountModel(a=12.0)
+    terms = log_xi_asymptotic(z)
+    assert t5(z) == terms.t1 + terms.t2 + terms.t3 + t5_constant(A_ROOT)
 
 
 # ---------------------------------------------------------- zero list
@@ -219,8 +210,7 @@ def test_predictor_deviations(literature_zeros):
 
 def test_predictor_staircase_interleaves(literature_zeros):
     predicted = predict_zeros(40)
-    model = SmoothCountModel()
-    ks = np.arange(model.a + 0.05, 100.0, 0.05)
+    ks = np.arange(A_ROOT + 0.05, 100.0, 0.05)
     actual_count = literature_zeros.count_below(ks)
     predicted_count = np.searchsorted(predicted, ks, side="right")
     assert int(np.max(np.abs(actual_count - predicted_count))) <= 2
