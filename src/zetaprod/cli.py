@@ -83,11 +83,6 @@ def _parse_rows(text: str) -> tuple[int, ...]:
     return rows
 
 
-def _clip(zeros: ZeroList, t_max: float) -> ZeroList:
-    keep = zeros.ordinates[zeros.ordinates < t_max]
-    return ZeroList(keep, t_max=t_max, source=zeros.source)
-
-
 def _resolve_zeros(args: argparse.Namespace, needed_t: float) -> ZeroList:
     """Zero ordinates below needed_t: explicit file, then env, then scan."""
     path = args.zero_file or os.environ.get(ZERO_FILE_ENV)
@@ -98,7 +93,7 @@ def _resolve_zeros(args: argparse.Namespace, needed_t: float) -> ZeroList:
                 f"zero file {path} reaches t_max={zeros.t_max:g}, need {needed_t:g}"
             )
         if zeros.t_max > needed_t:
-            zeros = _clip(zeros, needed_t)
+            zeros = ZeroList(zeros.ordinates[zeros.ordinates < needed_t], t_max=needed_t)
         return zeros
     return find_zeros(needed_t, step=args.scan_step, jobs=args.jobs)
 
@@ -108,15 +103,10 @@ def _cmd_xi_eval(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     xi = xi_z(z)
     real_input = z.imag == 0
 
-    def f6(w: complex) -> str:
+    def fixed(w: complex, digits: int) -> str:
         if real_input:
-            return "%.6f" % w.real
-        return "%.6f%+.6fj" % (w.real, w.imag)
-
-    def f5(w: complex) -> str:
-        if real_input:
-            return "%.5f" % w.real
-        return "%.5f%+.5fj" % (w.real, w.imag)
+            return "%.*f" % (digits, w.real)
+        return "%.*f%+.*fj" % (digits, w.real, digits, w.imag)
 
     if z.real > 0.5:
         ln = log_xi_z(z)
@@ -124,7 +114,7 @@ def _cmd_xi_eval(args: argparse.Namespace) -> tuple[list[str], list[str]]:
         if xi == 0:
             raise SingularityError(f"xi_z({_zlabel(z)}) = 0; log undefined")
         ln = cmath.log(xi)
-    parts = [f"xi={f6(xi)}", f"ln_xi={f5(ln)}"]
+    parts = [f"xi={fixed(xi, 6)}", f"ln_xi={fixed(ln, 5)}"]
     failures: list[str] = []
     if z.real > 10:
         terms = log_xi_asymptotic(z)
@@ -385,6 +375,8 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         raise DomainError(f"fourier_terms must be >= 1, got {args.fourier_terms!r}")
     if "grid_step" in args and not (args.grid_step > 0):
         raise DomainError(f"grid step must be positive, got {args.grid_step!r}")
+    if args.subcommand == "report" and args.grid_step > args.t_max:
+        raise DomainError(f"grid step {args.grid_step!r} exceeds t_max {args.t_max!r}")
     if "n_max" in args and args.n_max < 1:
         raise DomainError(f"n must be >= 1, got {args.n_max!r}")
     args.tol = {**_DEFAULT_TOL, **tolerances}
@@ -401,10 +393,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
     text = "\n".join(lines) + "\n"
-    if args.subcommand == "find-zeros" and args.output_path is not None:
-        # the handler already wrote the zero file; lines carry the notice
-        sys.stdout.write(text)
-    elif args.output_path is not None:
+    # find-zeros writes its --out file itself; its lines are the notice
+    if args.output_path is not None and args.subcommand != "find-zeros":
         with open(args.output_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:

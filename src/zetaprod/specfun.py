@@ -94,14 +94,15 @@ def _zeta_em(s: complex) -> complex:
 
 
 def _s1_zeta(w: complex) -> complex:
-    """The entire function (w - 1) * zeta(w), finite at w = 1."""
+    """The entire function (w - 1) * zeta(w), finite at w = 1.
+
+    Callers pass re(w) >= 1/2: zeta, xi_s and _log_xi_terms reflect first.
+    """
     u = w - 1
     if abs(u) <= 0.02:
         g0, g1, g2, g3, g4 = _STIELTJES
         return 1 + u * (g0 + u * (-g1 + u * (g2 / 2 + u * (-g3 / 6 + u * (g4 / 24)))))
-    if w.real >= 0.5:
-        return u * _zeta_em(w)
-    return u * zeta(w)
+    return u * _zeta_em(w)
 
 
 def zeta(s: complex) -> complex:

@@ -89,7 +89,7 @@ class DensityKind(Enum):
     K_SQRT_K_LNK = "k_sqrt_k_lnk"        # k sqrt(k) ln(k)
     INV_K_STEP = "inv_k_step"            # u(k - a) / k
     INV_K2_STEP = "inv_k2_step"          # u(k - a) / k^2
-    SAWTOOTH_PERIODIC = "sawtooth_periodic"  # saw((k - phase) / a), period a
+    SAWTOOTH_PERIODIC = "sawtooth_periodic"  # saw(k / a), period a
 
 
 _CUTOFF_KINDS = frozenset({
@@ -105,34 +105,28 @@ _CUTOFF_KINDS = frozenset({
 
 @dataclass(frozen=True)
 class DensityForm:
-    """A density phi(k) = scale * shape(k) on k > 0.
+    """A density phi(k) on k > 0.
 
     ``a`` is the cutoff for the stepped kinds and the period for
-    SAWTOOTH_PERIODIC; the pure power kinds ignore it.  ``phase`` only
-    affects the sawtooth, whose shape is saw(x) = -(x - round(x)) with
-    x = (k - phase) / a, the usual centered fractional-part remainder.
+    SAWTOOTH_PERIODIC; the pure power kinds ignore it.  The sawtooth is
+    saw(x) = -(x - round(x)) with x = k / a, the usual centered
+    fractional-part remainder.
     """
 
     kind: DensityKind
     a: float = 1.0
-    scale: float = 1.0
-    phase: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.kind, DensityKind):
             raise DomainError(f"kind must be a DensityKind, got {self.kind!r}")
         if not (self.a > 0 and math.isfinite(self.a)):
             raise DomainError(f"a must be positive and finite, got {self.a!r}")
-        if not math.isfinite(self.scale):
-            raise DomainError("scale must be finite")
-        if not math.isfinite(self.phase):
-            raise DomainError("phase must be finite")
 
     def __call__(self, k):
         k = np.asarray(k, dtype=float)
         kind = self.kind
         if kind is DensityKind.SAWTOOTH_PERIODIC:
-            x = (k - self.phase) / self.a
+            x = k / self.a
             out = -(x - np.floor(x + 0.5))
         elif kind is DensityKind.K_SQRT_K:
             out = k * np.sqrt(k)
@@ -154,11 +148,8 @@ class DensityForm:
                 out[m] = np.log(km) / km
             elif kind is DensityKind.INV_K_STEP:
                 out[m] = 1.0 / km
-            elif kind is DensityKind.INV_K2_STEP:
+            else:  # INV_K2_STEP
                 out[m] = 1.0 / km ** 2
-            else:  # pragma: no cover
-                raise DomainError(f"unhandled kind {kind!r}")
-        out = self.scale * out
         if out.ndim == 0:
             return float(out)
         return out
@@ -178,19 +169,13 @@ def transform_step(phi: StepFunction, z: complex) -> complex:
     return complex(np.sum(phi.weights * np.log1p(w)))
 
 
-def transform_numeric(
-    phi: DensityForm,
-    z: complex,
-    *,
-    abs_tol: float = 2e-10,
-    rel_tol: float = 2e-9,
-    max_evals: int = 1_000_000,
-) -> TransformEvaluation:
+def transform_numeric(phi: DensityForm, z: complex) -> TransformEvaluation:
     """Adaptive quadrature of the transform of a density form.
 
     Splits (0, inf) at the known breakpoints of phi, maps the tail beyond
     k_max = max(100, 20 |z|) to a finite interval with k = 1/v^2, and
-    returns the value with an honest absolute error estimate.  Requires
+    returns the value with an honest absolute error estimate (targets:
+    2e-10 absolute, 2e-9 relative, at most 1e6 evaluations).  Requires
     |arg z| < pi/4 so the denominator k^2 + z^2 stays away from the
     positive k-axis.  The sawtooth kind, which the substitution would make
     nonsmooth, instead integrates period by period out to
@@ -201,30 +186,22 @@ def transform_numeric(
         raise DomainError("transform_numeric requires |arg z| < pi/4")
     zz = z * z
     r = abs(z)
+    abs_tol, rel_tol, max_evals = 2e-10, 2e-9, 1_000_000
 
     def g(k):
         return phi(k) * (2 * zz) / (k * (k * k + zz))
 
     if phi.kind is DensityKind.SAWTOOTH_PERIODIC:
-        # phi must vanish at k = 0+, else the integral diverges there.
-        frac = phi.phase / phi.a
-        if abs(frac - round(frac)) > 1e-12:
-            raise DomainError(
-                "sawtooth transform needs phase to be a multiple of the period, "
-                "otherwise the integrand is ~ c/k at the origin"
-            )
         kmax = max(500.0, 20.0 * r)
         period = phi.a
-        half = phi.phase + 0.5 * period
-        jumps = np.arange(half, kmax, period)
-        jumps = jumps[jumps > 0]
+        jumps = np.arange(0.5 * period, kmax, period)
         seeds = [*jumps, r] if 0 < r < kmax else list(jumps)
         val, err, evals = integrate(
             g, 0.0, kmax,
             abs_tol=abs_tol, rel_tol=rel_tol,
             breakpoints=seeds, max_evals=max_evals,
         )
-        tail_bound = abs(phi.scale) * period * r * r / (2.0 * kmax ** 3)
+        tail_bound = period * r * r / (2.0 * kmax ** 3)
         return TransformEvaluation(val, err + tail_bound)
 
     kmax = max(100.0, 20.0 * r)
@@ -248,33 +225,20 @@ def transform_numeric(
     return TransformEvaluation(val + tail, err + terr)
 
 
-def _li2_series(w: complex) -> complex:
-    # sum_{m>=1} w^m / m^2 for |w| <= 0.91
+def _square_power_series(first: complex, ratio: complex, step: int) -> complex:
+    # sum_{j>=0} first * ratio^j / (1 + step j)^2, for |ratio| <= 0.91: the
+    # dilogarithm Li2(w) is (w, w, 1), the inverse tangent integral Ti2(x)
+    # is (x, -x^2, 2)
     tot = 0j
-    power = 1.0 + 0j
-    for m in range(1, 2001):
-        power *= w
-        term = power / (m * m)
-        tot += term
-        if m >= 20 and abs(term) < 1e-16 * max(abs(tot), 1e-30):
-            return tot
-    raise ConvergenceError("dilogarithm series did not converge; |w| too close to 1")
-
-
-def _ti2_series(x: complex) -> complex:
-    # sum_{j>=0} (-1)^j x^(2j+1) / (2j+1)^2 for |x| <= 0.96
-    tot = 0j
-    power = x
-    j = 0
-    while j < 2000:
-        d = 2 * j + 1
-        term = power / (d * d) if j % 2 == 0 else -power / (d * d)
+    power = first
+    for j in range(2000):
+        d = 1 + step * j
+        term = power / (d * d)
         tot += term
         if j >= 20 and abs(term) < 1e-16 * max(abs(tot), 1e-30):
             return tot
-        power *= x * x
-        j += 1
-    raise ConvergenceError("inverse-tangent-integral series did not converge")
+        power *= ratio
+    raise ConvergenceError("power series did not converge; ratio too close to 1")
 
 
 _ROW_KINDS = {
@@ -337,7 +301,7 @@ def table_row_closed_form(row: int, a: float, z: complex) -> complex:
         la = math.log(a)
         w = (a / z) ** 2
         return (cmath.log(z) ** 2 - la * la + PI * PI / 12
-                + la * _log1p_c(w) + 0.5 * _li2_series(-w))
+                + la * _log1p_c(w) + 0.5 * _square_power_series(-w, -w, 1))
     if row == 4:
         if abs(z) < 1.0:
             raise DomainError("row 4 closed form needs |z| >= 1")
@@ -346,9 +310,10 @@ def table_row_closed_form(row: int, a: float, z: complex) -> complex:
         if abs(z) < 1.05 * max(1.0, a):
             raise DomainError("row 5 closed form needs |z| >= 1.05 * max(1, a)")
         la = math.log(a)
+        x = a / z
         return (2 * (la + 1) / a - PI * cmath.log(z) / z
-                + (2 * la / z) * cmath.atan(a / z)
-                - (2 / z) * _ti2_series(a / z))
+                + (2 * la / z) * cmath.atan(x)
+                - (2 / z) * _square_power_series(x, -x * x, 2))
     if row == 6:
         return PI * math.sqrt(2.0) * z * cmath.sqrt(z)
     if row == 7:
@@ -394,17 +359,15 @@ class SineIdentityResult(NamedTuple):
     abs_error_estimate: float
 
 
-def sine_integral_identity(a: float, *, n_panels: int = 48) -> SineIdentityResult:
+def sine_integral_identity(a: float) -> SineIdentityResult:
     """integral of sin(y) / (y (y^2 + a^2)) dy over y > 0, two ways.
 
     The closed form is pi (1 - exp(-a)) / (2 a^2).  The numeric side sums
-    one quadrature panel per half-period of the sine and accelerates the
-    alternating partial sums by repeated averaging.
+    one quadrature panel per half-period of the sine over 48 half-periods
+    and accelerates the alternating partial sums by repeated averaging.
     """
     if not (a > 0 and math.isfinite(a)):
         raise DomainError(f"a must be positive, got {a!r}")
-    if n_panels < 8:
-        raise DomainError("need at least 8 panels")
     closed = PI * (1.0 - math.exp(-a)) / (2.0 * a * a)
 
     def g(y):
@@ -413,7 +376,7 @@ def sine_integral_identity(a: float, *, n_panels: int = 48) -> SineIdentityResul
 
     vals = []
     qerr = 0.0
-    for n in range(n_panels):
+    for n in range(48):
         v, e, _ = integrate(g, n * PI, (n + 1) * PI, abs_tol=1e-14, rel_tol=1e-13)
         vals.append(v.real)
         qerr += e
@@ -422,7 +385,7 @@ def sine_integral_identity(a: float, *, n_panels: int = 48) -> SineIdentityResul
         prev = rows[-1]
         rows.append(0.5 * (prev[:-1] + prev[1:]))
     numeric = float(rows[-1][0])
-    accel_err = abs(numeric - float(rows[-2][0])) if len(rows) > 1 else 0.0
+    accel_err = abs(numeric - float(rows[-2][0]))
     return SineIdentityResult(numeric, closed, accel_err + qerr)
 
 

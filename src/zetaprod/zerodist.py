@@ -15,10 +15,9 @@ import math
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,18 +45,24 @@ def phi_smooth(k):
     return out
 
 
-def solve_a(tol: float = 1e-12) -> float:
-    """Root of phi_smooth on [2 pi, 20] by bisection (the curve's start)."""
-    lo, hi = TWO_PI, 20.0
-    flo = phi_smooth(lo)
+def _bisect(root_above: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
+    """Halve [lo, hi] while it is wider than tol; return the midpoint.
+
+    root_above(mid) says whether the root lies above mid.
+    """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        fm = phi_smooth(mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+        if root_above(mid):
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def solve_a() -> float:
+    """Root of phi_smooth on [2 pi, 20] to 1e-12 (the curve's start)."""
+    # phi_smooth(2 pi) < 0, so the root lies above every point where phi <= 0
+    return _bisect(lambda k: phi_smooth(k) <= 0, TWO_PI, 20.0, 1e-12)
 
 
 #: The root a of phi_smooth, where the smooth counting curve starts.
@@ -87,18 +92,12 @@ def t5(z: complex) -> complex:
     return t4 + t5_constant(A_ROOT)
 
 
-class ZeroSource(Enum):
-    COMPUTED = "computed"
-    FILE = "file"
-
-
 @dataclass(frozen=True)
 class ZeroList:
     """Ascending zero ordinates, complete below the scan ceiling t_max."""
 
     ordinates: np.ndarray
     t_max: float
-    source: ZeroSource = ZeroSource.COMPUTED
 
     def __post_init__(self):
         arr = np.asarray(self.ordinates, dtype=float)
@@ -141,7 +140,7 @@ class ZeroList:
         Path(path).write_text(self.to_text(), encoding="utf-8")
 
     @classmethod
-    def _parse(cls, lines: Iterable[str], t_max: float | None, source: ZeroSource) -> "ZeroList":
+    def _parse(cls, lines: Iterable[str], t_max: float | None) -> "ZeroList":
         header_tmax = None
         vals = []
         for raw in lines:
@@ -160,12 +159,12 @@ class ZeroList:
             if not vals:
                 raise DomainError("zero file has no ordinates and no t_max header")
             t_max = float(np.nextafter(vals[-1], math.inf))
-        return cls(np.asarray(vals, dtype=float), t_max=t_max, source=source)
+        return cls(np.asarray(vals, dtype=float), t_max=t_max)
 
     @classmethod
     def read(cls, path, t_max: float | None = None) -> "ZeroList":
         text = Path(path).read_text(encoding="utf-8")
-        return cls._parse(text.splitlines(), t_max, ZeroSource.FILE)
+        return cls._parse(text.splitlines(), t_max)
 
     @classmethod
     def bundled(cls) -> "ZeroList":
@@ -173,7 +172,7 @@ class ZeroList:
         text = resources.files("zetaprod").joinpath("data/zeros_t100.txt").read_text(
             encoding="utf-8"
         )
-        return cls._parse(text.splitlines(), None, ZeroSource.FILE)
+        return cls._parse(text.splitlines(), None)
 
 
 def _line_sign(t: float) -> float:
@@ -183,16 +182,7 @@ def _line_sign(t: float) -> float:
 
 
 def _bisect_sign_change(lo: float, hi: float, sign_lo: float) -> float:
-    for _ in range(64):
-        if hi - lo <= 1e-9:
-            break
-        mid = 0.5 * (lo + hi)
-        sm = _line_sign(mid)
-        if (sm > 0) == (sign_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda t: (_line_sign(t) > 0) == (sign_lo > 0), lo, hi, 1e-9)
 
 
 def _chunk_roots(ts: np.ndarray) -> list[float]:
@@ -209,7 +199,6 @@ def find_zeros(
     *,
     step: float = 0.25,
     jobs: int = 1,
-    verify: bool = True,
 ) -> ZeroList:
     """Scan [10, t_max] for sign changes of xi on the critical line.
 
@@ -242,28 +231,39 @@ def find_zeros(
         roots = sorted(r for part in parts for r in part)
 
     roots = [r for r in roots if r < t_max]
-    out = ZeroList(np.asarray(roots, dtype=float), t_max=t_max, source=ZeroSource.COMPUTED)
+    out = ZeroList(np.asarray(roots, dtype=float), t_max=t_max)
 
-    if verify:
-        r = t_max - 0.02
-        while len(out) and float(np.min(np.abs(out.ordinates - r))) < 0.02:
-            r -= 0.05
-        expected = int(np.sum(out.ordinates < r))
-        # Sample finely enough that the phase moves well under pi/2 per arc
-        # even if the scan missed a pair; aliasing would hide full turns.
-        samples = max(256, 24 * expected + 64)
-        got = count_zeros_contour(_xi_z_phase, r, min_samples=samples)
-        if got != expected:
-            raise ClusterError(
-                f"scan found {expected} zeros below {r:g} but the contour count "
-                f"is {got}; reduce the step (currently {step:g})"
-            )
+    r = t_max - 0.02
+    while len(out) and float(np.min(np.abs(out.ordinates - r))) < 0.02:
+        r -= 0.05
+    expected = int(np.sum(out.ordinates < r))
+    # Sample finely enough that the phase moves well under pi/2 per arc
+    # even if the scan missed a pair; aliasing would hide full turns.
+    samples = max(256, 24 * expected + 64)
+    got = count_zeros_contour(_xi_z_phase, r, min_samples=samples)
+    if got != expected:
+        raise ClusterError(
+            f"scan found {expected} zeros below {r:g} but the contour count "
+            f"is {got}; reduce the step (currently {step:g})"
+        )
     return out
 
 
 class ResidualSample(NamedTuple):
     residual: float
     tail_estimate: float
+
+
+def _check_residual_z(z: float, zeros: ZeroList) -> float:
+    """z as a float, once it is in the residual's domain for these zeros."""
+    z = float(z)
+    if z < 50:
+        raise DomainError("residual requires real z >= 50")
+    if zeros.t_max < 2 * z:
+        raise InsufficientZerosError(
+            f"need zeros to t_max >= 2z = {2 * z:g}, have {zeros.t_max:g}"
+        )
+    return z
 
 
 def residual(z: float, zeros: ZeroList) -> ResidualSample:
@@ -279,13 +279,7 @@ def residual(z: float, zeros: ZeroList) -> ResidualSample:
     tail_estimate adds that to the O(1/z) of the asymptotic pieces and
     the quadrature estimate.
     """
-    z = float(z)
-    if z < 50:
-        raise DomainError("residual requires real z >= 50")
-    if zeros.t_max < 2 * z:
-        raise InsufficientZerosError(
-            f"need zeros to t_max >= 2z = {2 * z:g}, have {zeros.t_max:g}"
-        )
+    z = _check_residual_z(z, zeros)
     step_part = transform_step(zeros.to_step(), z).real
     zz = z * z
     big_t = zeros.t_max
@@ -320,6 +314,9 @@ class ResidualReport:
 
 
 def residual_report(z_values: Sequence[float], zeros: ZeroList) -> ResidualReport:
+    """Residual samples at every z, each checked before any is computed."""
+    for z in z_values:
+        _check_residual_z(z, zeros)
     samples = []
     for z in z_values:
         sample = residual(z, zeros)
@@ -385,15 +382,7 @@ def predict_zeros(n_max: int) -> np.ndarray:
         target = n - 0.5
         while phi_smooth(hi) < target:
             hi *= 1.5
-        lo = A_ROOT
-        top = hi
-        while top - lo > 1e-9:
-            mid = 0.5 * (lo + top)
-            if phi_smooth(mid) - target < 0:
-                lo = mid
-            else:
-                top = mid
-        out[n - 1] = 0.5 * (lo + top)
+        out[n - 1] = _bisect(lambda k: phi_smooth(k) < target, A_ROOT, hi, 1e-9)
     return out
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from zetaprod import zerodist
 from zetaprod.cli import ZERO_FILE_ENV, main
 from zetaprod.zerodist import ZeroList
 
@@ -238,3 +239,15 @@ def test_residual_z_below_domain(capsys, bundled_file):
                        "--zero-file", str(bundled_file))
     assert code == 1
     assert "error:" in err
+
+
+def test_residual_checks_every_z_before_computing(capsys, monkeypatch, bundled_file):
+    calls = []
+    original = zerodist.residual
+    monkeypatch.setattr(zerodist, "residual", lambda *a: calls.append(a) or original(*a))
+    code, out, err = run(capsys, "residual", "--z", "50,30", "--t-max", "100",
+                         "--zero-file", str(bundled_file))
+    assert code == 1
+    assert out == ""
+    assert "error: residual requires real z >= 50" in err
+    assert calls == []

@@ -26,6 +26,8 @@ CASES = (
      "f4aa653e4608ae28f54c5ee82955074289a2479beb01e827159f749202026eb1"),
     (("verify-table", "--rows", "1,4,9", "--all-pairs"), 0,
      "b761ed94ee115c6f91030819fb76d54c016e3e22ea783aee0d40614fa790d552"),
+    (("verify-table", "--all-pairs"), 0,
+     "fbeba7af9d933a8984bc28cbae3d232705c5dcf653e4685f393acae1b6aa0583"),
     (("cosh-demo", "--z", "2", "--terms", "40"), 0,
      "ab3a3c09d215e5fb1df810698919f7b35d0fb01bda01ce7675cedc3344502d09"),
     (("cosh-demo", "--z", "1", "--terms", "2"), 1,
@@ -58,6 +60,8 @@ CASES = (
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("report", "--t-max", "100", "--step", "0.5", "--zero-file", ZF), 0,
      "b91a33199e3680692e3933bce6185337489e92d5a696d13524dcf0a900fffd0b"),
+    (("report", "--t-max", "100", "--step", "150", "--zero-file", ZF), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 )
 
 

@@ -133,12 +133,6 @@ def test_transform_numeric_deterministic():
     assert first == second
 
 
-def test_sawtooth_requires_aligned_phase():
-    saw = DensityForm(DensityKind.SAWTOOTH_PERIODIC, a=1.0, phase=0.3)
-    with pytest.raises(DomainError):
-        transform_numeric(saw, 2.0)
-
-
 def test_sawtooth_transform_closed_form():
     # saw(k) = round(k) - k, and round is the half-integer staircase, so
     # the transform is ln cosh(pi z) - pi z

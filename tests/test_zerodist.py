@@ -16,7 +16,6 @@ from zetaprod.specfun import log_xi_asymptotic
 from zetaprod.zerodist import (
     A_ROOT,
     ZeroList,
-    ZeroSource,
     crossing_count,
     find_zeros,
     n_of_t,
@@ -96,7 +95,6 @@ def test_zero_list_roundtrip(tmp_path):
     zeros.write(path)
     back = ZeroList.read(path)
     assert back.t_max == 25.0
-    assert back.source is ZeroSource.FILE
     np.testing.assert_allclose(back.ordinates, zeros.ordinates, atol=1e-10)
 
 
@@ -131,7 +129,6 @@ def test_find_zeros_matches_literature(scan100, literature_zeros):
     np.testing.assert_allclose(
         zeros.ordinates, literature_zeros.ordinates, atol=5e-7
     )
-    assert zeros.source is ZeroSource.COMPUTED
 
 
 def test_find_zeros_jobs_equivalent(scan100):
