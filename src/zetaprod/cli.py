@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import math
 import os
 import sys
 from pathlib import Path
@@ -23,6 +22,7 @@ from .errors import DomainError, InsufficientZerosError, SingularityError, Zetap
 from .specfun import log_xi_asymptotic, log_xi_z, xi_z
 from .transforms import ROW_VERIFICATION_PAIRS, cosh_demo, verify_table_row
 from .zerodist import (
+    A_ROOT,
     ZeroList,
     find_zeros,
     n_of_t,
@@ -72,8 +72,11 @@ def _parse_point(text: str) -> complex:
     return complex(re_part, im_part)
 
 
-def _parse_reals(text: str) -> tuple[complex, ...]:
-    return tuple(complex(float(p), 0.0) for p in text.split(",") if p.strip())
+def _parse_reals(text: str) -> tuple[float, ...]:
+    values = tuple(float(p) for p in text.split(",") if p.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected Z1,Z2,..., got {text!r}")
+    return values
 
 
 def _parse_rows(text: str) -> tuple[int, ...]:
@@ -95,7 +98,7 @@ def _resolve_zeros(args: argparse.Namespace, needed_t: float) -> ZeroList:
         if zeros.t_max > needed_t:
             zeros = ZeroList(zeros.ordinates[zeros.ordinates < needed_t], t_max=needed_t)
         return zeros
-    return find_zeros(needed_t, step=args.scan_step, jobs=args.jobs)
+    return find_zeros(needed_t, jobs=args.jobs)
 
 
 def _cmd_xi_eval(args: argparse.Namespace) -> tuple[list[str], list[str]]:
@@ -160,7 +163,7 @@ def _cmd_cosh_demo(args: argparse.Namespace) -> tuple[list[str], list[str]]:
 
 
 def _cmd_find_zeros(args: argparse.Namespace) -> tuple[list[str], list[str]]:
-    zeros = find_zeros(args.t_max, step=args.scan_step, jobs=args.jobs)
+    zeros = find_zeros(args.t_max, jobs=args.jobs)
     if args.output_path is not None:
         zeros.write(args.output_path)
         return [f"wrote {len(zeros)} zeros to {args.output_path}"], []
@@ -203,8 +206,7 @@ def _cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[str]]:
 
 def _cmd_residual(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     zeros = _resolve_zeros(args, args.t_max)
-    z_values = [w.real for w in args.z_samples]
-    report = residual_report(z_values, zeros)
+    report = residual_report(args.z_samples, zeros)
     lines = [f"# constant_derived={_g(report.constant_derived)}",
              "z,residual,tail_estimate"]
     failures: list[str] = []
@@ -235,14 +237,14 @@ def _cmd_omega(args: argparse.Namespace) -> tuple[list[str], list[str]]:
 
 def _cmd_report(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     zeros = _resolve_zeros(args, args.t_max)
-    n_lim = int(math.ceil(n_of_t(args.t_max))) + 2
-    predicted = predict_zeros(n_lim)
     n = int(round(args.t_max / args.grid_step))
     ks = args.grid_step * np.arange(1, n + 1)
     ks = ks[ks <= args.t_max + 1e-12]
     phi_sm = phi_smooth(ks)
     phi_act = zeros.count_below(ks)
-    phi_prd = np.searchsorted(predicted, ks, side="right")
+    # The n-th predicted ordinate is where phi crosses n - 1/2 above a, so
+    # the predicted count is phi rounded; below a phi climbs back to 7/8.
+    phi_prd = np.where(ks > A_ROOT, np.floor(phi_sm + 0.5), 0)
     lines = ["k,phi_smooth,phi_actual,phi_predicted"]
     for k, sm, act, prd in zip(ks, phi_sm, phi_act, phi_prd):
         lines.append(f"{_g(k)},{_g(sm)},{int(act)},{int(prd)}")
@@ -272,8 +274,6 @@ def _add_zero_source(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--zero-file", type=Path, default=None,
                     help=f"read ordinates from this file (default: ${ZERO_FILE_ENV}, else compute)")
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers for the zero scan")
-    sp.add_argument("--scan-step", type=float, default=0.25, dest="scan_step",
-                    help="sign-change scan step when computing zeros")
 
 
 def _add_common(sp: argparse.ArgumentParser, out_help: str) -> None:
@@ -309,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-max", type=float, required=True, dest="t_max")
     sp.add_argument("--out", type=Path, default=None, dest="output_path",
                     help="write the zero file here (default: print to stdout)")
-    sp.add_argument("--step", type=float, default=0.25, dest="scan_step")
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                     help=argparse.SUPPRESS)
@@ -362,8 +361,8 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         except ValueError:
             parser.error(f"--tol {name}: not a number: {raw!r}")
 
-    if "t_max" in args and not (0 < args.t_max <= 1000):
-        raise DomainError(f"t_max must lie in (0, 1000], got {args.t_max!r}")
+    if "t_max" in args and not (A_ROOT < args.t_max <= 1000):
+        raise DomainError(f"t_max must lie in (a={A_ROOT:.6g}, 1000], got {args.t_max!r}")
     for name, value in tolerances.items():
         if name not in _DEFAULT_TOL:
             raise DomainError(

@@ -40,8 +40,8 @@ class ConvergenceError(ZetaprodError, ArithmeticError):
 
 
 class ClusterError(ConvergenceError):
-    """A scan step straddled more than one sign change, so at least one
-    zero was missed; rerun with a smaller step."""
+    """A scan interval straddled more than one sign change, so at least one
+    zero was missed and the zero list would be incomplete."""
 
 
 class ProximityError(ConvergenceError):

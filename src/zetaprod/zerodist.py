@@ -194,17 +194,17 @@ def _chunk_roots(ts: np.ndarray) -> list[float]:
     return roots
 
 
-def find_zeros(
-    t_max: float,
-    *,
-    step: float = 0.25,
-    jobs: int = 1,
-) -> ZeroList:
+# Sign-scan step.  The closest pair of zeros below t = 1000 is 0.3104 apart
+# (750.6560 and 750.9664), so no scan interval can hold two of them.
+_SCAN_STEP = 0.25
+
+
+def find_zeros(t_max: float, *, jobs: int = 1) -> ZeroList:
     """Scan [10, t_max] for sign changes of xi on the critical line.
 
     Each change is bisected to 1e-9 and the resulting count is checked
     against the winding-number count on the circle of radius just under
-    t_max; a mismatch means a step straddled two zeros and raises
+    t_max; a mismatch means a scan interval held two zeros and raises
     :class:`ClusterError`.  ``jobs`` > 1 splits the scan across processes;
     the merged result does not depend on the worker count.
     """
@@ -212,14 +212,12 @@ def find_zeros(
         raise DomainError(f"t_max must exceed 14, got {t_max!r}")
     if t_max > 1000:
         raise RangeError("find_zeros supports t_max <= 1000")
-    if not (0 < step <= 0.5):
-        raise DomainError(f"step must lie in (0, 0.5], got {step!r}")
     if jobs < 1 or jobs != int(jobs):
         raise DomainError(f"jobs must be a positive integer, got {jobs!r}")
     jobs = int(jobs)
 
-    n = int(math.ceil((t_max - 10.0) / step))
-    ts = np.minimum(10.0 + step * np.arange(n + 1), t_max)
+    n = int(math.ceil((t_max - 10.0) / _SCAN_STEP))
+    ts = np.minimum(10.0 + _SCAN_STEP * np.arange(n + 1), t_max)
 
     if jobs == 1 or n < 4 * jobs:
         roots = _chunk_roots(ts)
@@ -243,8 +241,7 @@ def find_zeros(
     got = count_zeros_contour(_xi_z_phase, r, min_samples=samples)
     if got != expected:
         raise ClusterError(
-            f"scan found {expected} zeros below {r:g} but the contour count "
-            f"is {got}; reduce the step (currently {step:g})"
+            f"scan found {expected} zeros below {r:g} but the contour count is {got}"
         )
     return out
 

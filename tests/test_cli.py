@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from zetaprod import zerodist
+from zetaprod import cli, zerodist
 from zetaprod.cli import ZERO_FILE_ENV, main
-from zetaprod.zerodist import ZeroList
+from zetaprod.zerodist import ZeroList, phi_smooth, predict_zeros
 
 
 @pytest.fixture(autouse=True)
@@ -183,6 +185,33 @@ def test_report_csv(capsys, bundled_file):
     assert last[2] == "29"
 
 
+def test_report_reads_predicted_staircase_off_phi(capsys, monkeypatch, bundled_file):
+    def no_bisection(*args):
+        raise AssertionError("report must not bisect the curve's crossings")
+
+    calls = []
+    original = cli.phi_smooth
+    monkeypatch.setattr(cli, "predict_zeros", no_bisection)
+    monkeypatch.setattr(cli, "n_of_t", no_bisection)
+    monkeypatch.setattr(cli, "phi_smooth", lambda k: calls.append(k) or original(k))
+    code, _, _ = run(capsys, "report", "--t-max", "100", "--step", "0.5",
+                     "--zero-file", str(bundled_file))
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_report_predicted_column_matches_bisected_crossings(capsys, bundled_file):
+    code, out, _ = run(capsys, "report", "--t-max", "100", "--step", "0.001",
+                       "--zero-file", str(bundled_file))
+    assert code == 0
+    got = np.array([int(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]])
+    # reference: on report's grid, count the bisected crossings at or below k
+    ks = 0.001 * np.arange(1, 100_001)
+    ks = ks[ks <= 100 + 1e-12]
+    crossings = predict_zeros(math.ceil(phi_smooth(100.0)) + 2)
+    np.testing.assert_array_equal(got, np.searchsorted(crossings, ks, side="right"))
+
+
 def test_report_deterministic(capsys, bundled_file, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -228,10 +257,14 @@ def test_tol_malformed_usage_error(capsys, bundled_file):
     assert exc.value.code == 2
 
 
-def test_t_max_out_of_range(capsys):
-    code, _, err = run(capsys, "count", "--t-max", "1200")
-    assert code == 1
-    assert "t_max" in err
+def test_t_max_out_of_range(capsys, bundled_file):
+    # above 1000, or at or below the curve root a where the formula is negative
+    for t_max in ("1200", "5", repr(zerodist.A_ROOT)):
+        code, out, err = run(capsys, "count", "--t-max", t_max,
+                             "--zero-file", str(bundled_file))
+        assert code == 1
+        assert out == ""
+        assert "t_max" in err
 
 
 def test_residual_z_below_domain(capsys, bundled_file):

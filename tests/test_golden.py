@@ -2,9 +2,9 @@
 
 Each case stores the argv, the exit status and the sha256 of stdout.  A
 refactor that claims "same behaviour" must keep all three.  Zero-consuming
-subcommands read the bundled zero file; ``find-zeros`` runs once serially and
-once with two workers, so output that does not depend on ``--jobs`` is under
-test at the CLI level.
+subcommands read the bundled zero file, except one ``count`` that scans for its
+zeros; ``find-zeros`` runs once serially and once with two workers, so output
+that does not depend on ``--jobs`` is under test at the CLI level.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ CASES = (
      "9aa37fac1eb17ec6aadab43919009a976760ff13f316090cc047931ff51f463c"),
     (("find-zeros", "--t-max", "30", "--jobs", "2"), 0,
      "9aa37fac1eb17ec6aadab43919009a976760ff13f316090cc047931ff51f463c"),
+    # the scan step is fixed, so asking for one is a usage error
+    (("find-zeros", "--t-max", "30", "--step", "0.1"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("count", "--t-max", "30", "--scan-step", "0.1"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("count", "--t-max", "50", "--zero-file", ZF), 0,
      "da216da62c51444cbf0d5aec4782f20dfebdb4a8c9c42dd18435fd6f62965158"),
     (("count", "--t-max", "50", "--zero-file", ZF, "--tol", "count=0.1"), 1,
@@ -62,6 +67,15 @@ CASES = (
      "b91a33199e3680692e3933bce6185337489e92d5a696d13524dcf0a900fffd0b"),
     (("report", "--t-max", "100", "--step", "150", "--zero-file", ZF), 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("report", "--t-max", "100", "--step", "0.01", "--zero-file", ZF), 0,
+     "9adff159105a32871a16277f5be2720da42ca91f8092b376c33da637be6b9fb8"),
+    (("residual", "--z", ",", "--t-max", "100", "--zero-file", ZF), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("count", "--t-max", "5", "--zero-file", ZF), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # no zero file: a fresh scan gives the same output as the bundled list
+    (("count", "--t-max", "50"), 0,
+     "da216da62c51444cbf0d5aec4782f20dfebdb4a8c9c42dd18435fd6f62965158"),
 )
 
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zetaprod import zerodist
 from zetaprod.errors import (
     DomainError,
     InsufficientZerosError,
@@ -137,13 +139,19 @@ def test_find_zeros_jobs_equivalent(scan100):
     np.testing.assert_array_equal(parallel.ordinates, zeros.ordinates)
 
 
+def test_scan_step_below_closest_zero_gap():
+    # one scan interval must never hold two zeros anywhere below t = 1000
+    reference = Path(__file__).resolve().parents[1] / "bench" / "data" / "zeros_t1000.txt"
+    ordinates = ZeroList.read(reference).ordinates
+    assert len(ordinates) == 649
+    assert zerodist._SCAN_STEP < float(np.min(np.diff(ordinates)))
+
+
 def test_find_zeros_domain():
     with pytest.raises(DomainError):
         find_zeros(12.0)
     with pytest.raises(RangeError):
         find_zeros(1500.0)
-    with pytest.raises(DomainError):
-        find_zeros(50.0, step=0.0)
     with pytest.raises(DomainError):
         find_zeros(50.0, jobs=0)
 
