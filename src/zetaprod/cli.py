@@ -64,25 +64,34 @@ def _zlabel(z: complex) -> str:
 
 
 def _parse_point(text: str) -> complex:
-    parts = text.split(",")
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) not in (1, 2):
-        raise ValueError(f"expected RE or RE,IM, got {text!r}")
-    re_part = float(parts[0])
-    im_part = float(parts[1]) if len(parts) == 2 else 0.0
-    return complex(re_part, im_part)
+        raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+    return complex(*parts)
 
 
 def _parse_reals(text: str) -> tuple[float, ...]:
-    values = tuple(float(p) for p in text.split(",") if p.strip())
+    try:
+        values = tuple(float(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        values = ()
     if not values:
         raise argparse.ArgumentTypeError(f"expected Z1,Z2,..., got {text!r}")
     return values
 
 
 def _parse_rows(text: str) -> tuple[int, ...]:
-    rows = tuple(int(p) for p in text.split(",") if p.strip())
+    try:
+        rows = tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        rows = ()
     if not rows or any(r not in ROW_VERIFICATION_PAIRS for r in rows):
-        raise argparse.ArgumentTypeError(f"rows must be a subset of 1..9, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected rows from 1..9 as R1,R2,..., got {text!r}"
+        )
     return rows
 
 

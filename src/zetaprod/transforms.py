@@ -556,19 +556,26 @@ def count_zeros_contour(
     radius: float,
     min_samples: int = 256,
 ) -> int:
-    """Zeros of an even analytic f inside |z| < radius: winding number over two.
+    """Zeros inside |z| < radius of f, which is even and real on the real axis.
 
-    The circle is sampled, the phase increments are unwrapped, and any arc
-    with a jump above pi/2 is bisected until the total winding is stable.
-    Raises :class:`ProximityError` when |f| on the contour dips below 1e-9
-    of its maximum, and :class:`ConvergenceError` if refinement exceeds
-    1e6 samples or the winding refuses to settle on an even integer.
+    f is analytic, or has the phase of an analytic function, as
+    ``specfun._xi_z_phase`` has that of ``xi_z``.  Being even and real on
+    the real axis, f has f(-conj z) = conj f(z), so its phase change over the
+    first-quadrant arc theta in [0, pi/2] is a quarter of its winding over
+    the whole circle, and the zero count (half the winding) is that change
+    divided by pi.  ``min_samples`` counts samples per full turn; the arc
+    gets a quarter of them.  Any step with a phase jump above pi/2 is
+    bisected until none is left.  Raises :class:`ProximityError` when |f|
+    on the arc dips below 1e-9 of its maximum, and
+    :class:`ConvergenceError` if f is not real at both ends of the arc,
+    refinement exceeds 1e6 samples or 40 passes, or the phase change is
+    not near a whole number of half-turns.
     """
     if not (radius > 0 and math.isfinite(radius)):
         raise DomainError(f"radius must be positive, got {radius!r}")
     if min_samples < 64:
         raise DomainError("min_samples must be at least 64")
-    thetas = np.linspace(0.0, TWO_PI, int(min_samples), endpoint=False)
+    thetas = np.linspace(0.0, PI / 2, int(min_samples) // 4 + 1)
     vals = np.array([complex(f(radius * cmath.exp(1j * t))) for t in thetas])
 
     for _ in range(40):
@@ -578,16 +585,13 @@ def count_zeros_contour(
                 "contour passes within 1e-9 (relative) of a zero; "
                 "move the radius"
             )
-        ratios = np.roll(vals, -1) / vals
-        dphi = np.angle(ratios)
+        dphi = np.angle(vals[1:] / vals[:-1])
         bad = np.flatnonzero(np.abs(dphi) > PI / 2)
         if bad.size == 0:
             break
         if len(vals) + bad.size > 1_000_000:
             raise ConvergenceError("contour refinement exceeded 1e6 samples")
-        nxt = np.where(bad + 1 < len(thetas), bad + 1, 0)
-        mid = 0.5 * (thetas[bad] + np.where(bad + 1 < len(thetas),
-                                            thetas[nxt], TWO_PI))
+        mid = 0.5 * (thetas[bad] + thetas[bad + 1])
         mid_vals = np.array([complex(f(radius * cmath.exp(1j * t))) for t in mid])
         order = np.argsort(np.concatenate((thetas, mid)))
         thetas = np.concatenate((thetas, mid))[order]
@@ -595,12 +599,19 @@ def count_zeros_contour(
     else:
         raise ConvergenceError("phase jumps persisted after 40 refinement passes")
 
-    winding = float(np.sum(dphi)) / TWO_PI
-    rounded = round(winding)
-    if abs(winding - rounded) > 0.25:
-        raise ConvergenceError(f"winding number {winding:.3f} is not near an integer")
-    if rounded % 2:
+    # Even and real on the real axis makes f real on the imaginary axis too,
+    # so f must be real at both ends of the arc.  A zero within rounding of
+    # an end (too close for the proximity test when |f| is normalized)
+    # also fails here.
+    if any(abs(v.imag) > 1e-6 * abs(v) for v in (vals[0], vals[-1])):
         raise ConvergenceError(
-            f"winding number {rounded} is odd; a zero may sit on the contour"
+            "f is not real at both ends of the quarter arc: it is not even and "
+            "real on the real axis, or a zero sits at an end; move the radius"
         )
-    return rounded // 2
+    half_turns = float(np.sum(dphi)) / PI
+    rounded = round(half_turns)
+    if abs(half_turns - rounded) > 0.125:
+        raise ConvergenceError(
+            f"phase change of {half_turns:.3f} half-turns is not near an integer"
+        )
+    return rounded

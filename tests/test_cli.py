@@ -74,6 +74,22 @@ def test_verify_table_bad_rows(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("residual", "--z", "60,abc", "--t-max", "100"),
+    ("xi-eval", "--z", "abc"),
+    ("xi-eval", "--z", "1,2,3"),
+    ("verify-table", "--rows", "1,x"),
+])
+def test_malformed_list_says_what_was_expected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "expected" in captured.err
+    assert "_parse_" not in captured.err
+
+
 # ---------------------------------------------------------- cosh-demo
 
 

@@ -34,10 +34,12 @@ CASES = (
      "1bd832b292328cc882fded9815aac24237d54946da4b936449d2fe850df0f545"),
     (("cosh-demo", "--z", "2", "--terms", "0"), 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # refined to within 1e-11, so the ordinates print correctly rounded
+    # (14.1347251417, 21.0220396388, 25.0108575801)
     (("find-zeros", "--t-max", "30"), 0,
-     "9aa37fac1eb17ec6aadab43919009a976760ff13f316090cc047931ff51f463c"),
+     "ce9dcf9a37a5420a79a0f4b512cdefbfb5b8045fca6d1afec7bcb1867d409f36"),
     (("find-zeros", "--t-max", "30", "--jobs", "2"), 0,
-     "9aa37fac1eb17ec6aadab43919009a976760ff13f316090cc047931ff51f463c"),
+     "ce9dcf9a37a5420a79a0f4b512cdefbfb5b8045fca6d1afec7bcb1867d409f36"),
     # the scan step is fixed, so asking for one is a usage error
     (("find-zeros", "--t-max", "30", "--step", "0.1"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from zetaprod.errors import DomainError, SingularityError
+from zetaprod.errors import ConvergenceError, DomainError, SingularityError
 from zetaprod.specfun import _xi_z_phase, xi_z
 from zetaprod.transforms import (
     ROW_VERIFICATION_PAIRS,
@@ -260,6 +260,13 @@ def test_contour_counts_xi_zeros():
 def test_contour_phase_handle_larger_radius():
     assert count_zeros_contour(_xi_z_phase, 30.0, min_samples=512) == 3
     assert count_zeros_contour(_xi_z_phase, 40.0, min_samples=512) == 6
+
+
+def test_contour_rejects_f_not_real_on_the_axes():
+    # the quarter arc counts only for f even and real on the real axis;
+    # a constant phase turn breaks that without moving any zero
+    with pytest.raises(ConvergenceError):
+        count_zeros_contour(lambda z: cmath.exp(0.3j) * xi_z(z), 20.0)
 
 
 def test_contour_validation():

@@ -147,6 +147,32 @@ def test_scan_step_below_closest_zero_gap():
     assert zerodist._SCAN_STEP < float(np.min(np.diff(ordinates)))
 
 
+def test_find_zeros_matches_reference_to_1000():
+    reference = Path(__file__).resolve().parents[1] / "bench" / "data" / "zeros_t1000.txt"
+    expected = ZeroList.read(reference).ordinates
+    zeros = find_zeros(1000.0)
+    assert len(zeros) == len(expected) == 649
+    assert float(np.max(np.abs(zeros.ordinates - expected))) <= 1e-11
+
+
+def test_find_zeros_evaluation_counts(monkeypatch):
+    # deterministic cost gate: xi evaluations on the line (sign scan plus
+    # refinement) and on the contour for find_zeros(100)
+    calls = {"line": 0, "contour": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(zerodist, "_log_xi_terms", counted("line", zerodist._log_xi_terms))
+    monkeypatch.setattr(zerodist, "_xi_z_phase", counted("contour", zerodist._xi_z_phase))
+    assert len(find_zeros(100.0)) == 29
+    assert calls["line"] <= 522
+    assert calls["contour"] <= 191
+
+
 def test_find_zeros_domain():
     with pytest.raises(DomainError):
         find_zeros(12.0)
