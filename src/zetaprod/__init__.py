@@ -15,7 +15,6 @@ from .errors import (
 )
 from .specfun import (
     XiAsymptoticTerms,
-    hurwitz_zeta_even,
     ln_zeta_bound_check,
     log_gamma,
     log_xi_asymptotic,

@@ -16,7 +16,7 @@ from zetaprod.errors import (
     RangeError,
 )
 from zetaprod.specfun import (
-    hurwitz_zeta_even,
+    _log_xi_terms,
     ln_zeta_bound_check,
     log_gamma,
     log_xi_asymptotic,
@@ -84,6 +84,26 @@ def test_zeta_random_left_plane():
         assert rel(zeta(s), ref) < 1e-9
 
 
+# The random mpmath tests above stay near the real axis; these reach the top of
+# the supported range, |Im s| <= 1000, at the same tolerances.
+
+
+def test_zeta_random_right_plane_to_im_max():
+    rng = np.random.default_rng(20260601)
+    for _ in range(60):
+        s = complex(0.5 + 9.5 * rng.random(), 2000.0 * (rng.random() - 0.5))
+        ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+        assert rel(zeta(s), ref) < 1e-10
+
+
+def test_zeta_random_left_plane_to_im_max():
+    rng = np.random.default_rng(20260602)
+    for _ in range(60):
+        s = complex(-8.0 + 8.4 * rng.random(), 2000.0 * (rng.random() - 0.5))
+        ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+        assert rel(zeta(s), ref) < 1e-9
+
+
 def test_zeta_near_pole_laurent():
     rng = np.random.default_rng(20260503)
     for _ in range(20):
@@ -95,29 +115,7 @@ def test_zeta_near_pole_laurent():
         assert rel(zeta(s), ref) < 1e-10
 
 
-# ------------------------------------------------- hurwitz / stirling
-
-
-def test_hurwitz_even_reference():
-    assert rel(hurwitz_zeta_even(1, 0.75), 1.19732915450711074) < 1e-13
-    ref = -0.00169934708832391713 - 0.00256055799211189515j
-    assert rel(hurwitz_zeta_even(3, 2 + 1j), ref) < 1e-13
-
-
-def test_hurwitz_even_random_vs_mpmath():
-    rng = np.random.default_rng(20260504)
-    for _ in range(20):
-        m = int(rng.integers(1, 8))
-        a = complex(5 * rng.random() - 0.3, 4 * (rng.random() - 0.5))
-        ref = complex(mp.zeta(2 * m, mp.mpc(a.real + 0.5, a.imag)))
-        assert rel(hurwitz_zeta_even(m, a), ref) < 1e-12
-
-
-def test_hurwitz_even_domain():
-    with pytest.raises(DomainError):
-        hurwitz_zeta_even(0, 1.0)
-    with pytest.raises(DomainError):
-        hurwitz_zeta_even(2, -0.6)
+# ----------------------------------------------------------- stirling
 
 
 def test_stirling_w_is_binet_remainder():
@@ -125,6 +123,14 @@ def test_stirling_w_is_binet_remainder():
     rng = np.random.default_rng(20260505)
     for _ in range(20):
         a = complex(0.4 + 6 * rng.random(), 8 * (rng.random() - 0.5))
+        main = (a - 0.5) * cmath.log(a) - a + 0.5 * math.log(2 * math.pi)
+        ref = complex(main - mp.loggamma(mp.mpc(a.real, a.imag)))
+        assert abs(stirling_w(a) - ref) < 1e-13 * (1 + abs(ref))
+
+
+def test_stirling_w_near_zero():
+    # re(a) close to 0 is inside the documented domain re(a) > 0
+    for a in (0.01, 0.05 + 0.3j):
         main = (a - 0.5) * cmath.log(a) - a + 0.5 * math.log(2 * math.pi)
         ref = complex(main - mp.loggamma(mp.mpc(a.real, a.imag)))
         assert abs(stirling_w(a) - ref) < 1e-13 * (1 + abs(ref))
@@ -166,6 +172,17 @@ def test_log_gamma_random_vs_mpmath():
     rng = np.random.default_rng(20260506)
     for _ in range(25):
         a = complex(0.05 + 8 * rng.random(), 100 * (rng.random() - 0.5))
+        ref = complex(mp.loggamma(mp.mpc(a.real, a.imag)))
+        assert abs(log_gamma(a) - ref) < 1e-11 * (1 + abs(ref))
+
+
+def test_log_gamma_random_vs_mpmath_to_im_600():
+    # the shift stops once |a| >= 12, so points on both sides of |a| = 12
+    rng = np.random.default_rng(20260603)
+    points = [complex(0.05 + 11.95 * rng.random(), 1200.0 * (rng.random() - 0.5))
+              for _ in range(60)]
+    points += [11.99, 12.01, 3 + 11.6j, 3 + 11.65j, 0.05 - 11.99j, 0.05 - 12.01j]
+    for a in points:
         ref = complex(mp.loggamma(mp.mpc(a.real, a.imag)))
         assert abs(log_gamma(a) - ref) < 1e-11 * (1 + abs(ref))
 
@@ -221,6 +238,16 @@ def test_xi_random_vs_mpmath():
         assert rel(xi_s(s), ref) < 1e-11
 
 
+def test_xi_random_vs_mpmath_to_im_850():
+    # above |Im s| of about 900, xi_s falls below the smallest normal double;
+    # log_xi_z carries the oracle on to |Im s| = 1000
+    rng = np.random.default_rng(20260604)
+    for _ in range(60):
+        s = complex(5 * (rng.random() - 0.5), 1700.0 * (rng.random() - 0.5))
+        ref = complex(mp_xi(s))
+        assert rel(xi_s(s), ref) < 1e-11
+
+
 def test_xi_real_on_imaginary_axis():
     rng = np.random.default_rng(20260510)
     ts = 0.5 + 99.0 * rng.random(40)
@@ -237,6 +264,11 @@ def test_xi_range():
 # --------------------------------------------------------- log xi_z
 
 
+def test_log_xi_terms_range():
+    with pytest.raises(RangeError):
+        _log_xi_terms(0.5 + 1200j)
+
+
 def test_log_xi_z_exponentiates_to_xi():
     rng = np.random.default_rng(20260511)
     for _ in range(20):
@@ -249,6 +281,17 @@ def test_log_xi_z_center_matches_reference():
     # log of xi agrees with the composed form
     z = 0.5001
     assert abs(log_xi_z(z) - cmath.log(xi_z(z))) < 1e-9
+
+
+def test_log_xi_z_random_vs_mpmath_to_im_max():
+    # an absolute error d in log xi is a relative error d in xi, so this is
+    # the xi_s tolerance; the branch of mpmath's log is principal, ours analytic
+    rng = np.random.default_rng(20260605)
+    for _ in range(60):
+        z = complex(0.55 + 9.45 * rng.random(), 2000.0 * (rng.random() - 0.5))
+        ref = complex(mp.log(mp_xi(z + 0.5)))
+        d = log_xi_z(z) - ref
+        assert abs(complex(d.real, math.remainder(d.imag, 2 * math.pi))) < 1e-11
 
 
 def test_log_xi_z_domain():
