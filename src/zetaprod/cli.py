@@ -234,7 +234,7 @@ def _cmd_omega(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     zeros = _resolve_zeros(args, args.t_max)
     stats = omega_stats(zeros, grid_step=args.grid_step)
     lines = ["k,omega,running_mean"]
-    for (k, om), (_, mean) in zip(stats.grid, stats.running_mean):
+    for k, om, mean in zip(*stats.grid.T, stats.running_mean[:, 1]):
         lines.append(f"{_g(k)},{_g(om)},{_g(mean)}")
     failures: list[str] = []
     if args.t_max >= 50 and abs(stats.final_mean) > args.tol["omega-mean"]:
@@ -319,8 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", type=Path, default=None, dest="output_path",
                     help="write the zero file here (default: print to stdout)")
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                    help=argparse.SUPPRESS)
+    sp.set_defaults(tol=[])  # for _check_args; find-zeros has no tolerances
 
     sp = sub.add_parser("count", help="actual zero count vs the counting formula")
     sp.add_argument("--t-max", type=float, required=True, dest="t_max")

@@ -185,8 +185,9 @@ def xi_s(s: complex) -> complex:
     """The symmetrized function gamma(s/2 + 1) pi^(-s/2) (s - 1) zeta(s).
 
     Entire; invariant under s -> 1 - s; equals 1/2 at s = 0 and s = 1.
-    Arguments with re(s) < 1/2 are reflected before evaluation, so the
-    symmetry holds exactly.
+    Arguments with re(s) < 1/2 are reflected before evaluation and values on
+    the critical line are returned real, so the symmetry holds exactly.
+    Underflows to 0 above about |Im s| = 910 on the line; log_xi_z does not.
     """
     s = complex(s)
     if abs(s.imag) > IM_MAX:
@@ -194,16 +195,17 @@ def xi_s(s: complex) -> complex:
     w = s if s.real >= 0.5 else 1 - s
     if w == 1:
         return 0.5 + 0j  # gamma(3/2) pi^(-1/2) * 1, which rounding would miss
-    return cmath.exp(_log_gamma_any(w / 2 + 1) - (w / 2) * LN_PI) * _s1_zeta(w)
+    val = cmath.exp(_log_gamma_any(w / 2 + 1) - (w / 2) * LN_PI) * _s1_zeta(w)
+    return complex(val.real) if w.real == 0.5 else val
 
 
 def xi_z(z: complex) -> complex:
-    """xi in the shifted variable: xi_z(z) = xi_s(z + 1/2).
+    """xi in the shifted variable: xi_z(z) = xi_s(z + 1/2); underflows like xi_s.
 
-    Even in z, real on both the real and imaginary axes, and its zeros on
-    the imaginary axis sit at the zeta zero ordinates.
+    Exactly even (z and -z are both evaluated at the one with re >= 0), real on
+    both axes, and zero on the imaginary axis at the zeta zero ordinates.
     """
-    return xi_s(complex(z) + 0.5)
+    return xi_s((z if complex(z).real >= 0 else -z) + 0.5)
 
 
 def _log_xi_terms(s: complex) -> complex:

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,24 +45,31 @@ def phi_smooth(k):
     return out
 
 
-def _bisect(root_above: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
-    """Halve [lo, hi] while it is wider than tol; return the midpoint.
+def _lambert_w0(c):
+    """W0(c) for c > -1/e, scalar or array: Halley's iteration (Corless et al.
+    1996) from log1p(c) until every step is at most 1e-15 (1 + |w|)."""
+    w = np.log1p(c)
+    done = False  # an entry stops once its own step is small, as it would alone
+    for _ in range(20):
+        ew = np.exp(w)
+        f = w * ew - c
+        step = f / (ew * (w + 1) - (w + 2) * f / (2 * w + 2))
+        w = np.where(done, w, w - step)
+        done = done | (np.abs(step) <= 1e-15 * (1 + np.abs(w)))
+        if np.all(done):
+            return w
+    raise ConvergenceError("Lambert W did not converge in 20 Halley steps")
 
-    root_above(mid) says whether the root lies above mid.
-    """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if root_above(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+def _phi_inverse(level):
+    """k above a where phi_smooth(k) = level >= 0, scalar or array: with
+    x = k/2pi, x ln x - x = L - 7/8, so k = 2pi exp(1 + W0((L - 7/8)/e))."""
+    return TWO_PI * np.exp(1 + _lambert_w0((np.asarray(level, float) - 0.875) / math.e))
 
 
 def solve_a() -> float:
-    """Root of phi_smooth on [2 pi, 20] to 1e-12 (the curve's start)."""
-    # phi_smooth(2 pi) < 0, so the root lies above every point where phi <= 0
-    return _bisect(lambda k: phi_smooth(k) <= 0, TWO_PI, 20.0, 1e-12)
+    """Root a of phi_smooth, where the curve starts; closed form."""
+    return float(_phi_inverse(0.0))
 
 
 #: The root a of phi_smooth, where the smooth counting curve starts.
@@ -403,21 +410,13 @@ def omega_stats(zeros: ZeroList, grid_step: float = 0.1) -> OmegaStats:
 def predict_zeros(n_max: int) -> np.ndarray:
     """Ordinates where the smooth curve crosses n - 1/2, for n = 1..n_max.
 
-    These are the jump positions of the predicted staircase; bisection to
-    1e-9.  The curve is strictly increasing past its root, so each level
+    These are the jump positions of the predicted staircase, in closed
+    form.  The curve is strictly increasing past its root, so each level
     has exactly one crossing.
     """
     if n_max != int(n_max) or int(n_max) < 1:
         raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
-    n_max = int(n_max)
-    out = np.empty(n_max)
-    hi = 20.0
-    for n in range(1, n_max + 1):
-        target = n - 0.5
-        while phi_smooth(hi) < target:
-            hi *= 1.5
-        out[n - 1] = _bisect(lambda k: phi_smooth(k) < target, A_ROOT, hi, 1e-9)
-    return out
+    return _phi_inverse(np.arange(1, int(n_max) + 1) - 0.5)
 
 
 class CrossingCount(NamedTuple):

@@ -5,8 +5,14 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import settings
 
 from zetaprod.zerodist import ZeroList, find_zeros
+
+# Property tests draw the same examples on every run and write no example
+# database; they have no per-example deadline, as timing varies by machine.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def pytest_configure(config):

@@ -203,7 +203,7 @@ def test_report_csv(capsys, bundled_file):
 
 def test_report_reads_predicted_staircase_off_phi(capsys, monkeypatch, bundled_file):
     def no_bisection(*args):
-        raise AssertionError("report must not bisect the curve's crossings")
+        raise AssertionError("report must read its staircase off phi")
 
     calls = []
     original = cli.phi_smooth
@@ -221,7 +221,7 @@ def test_report_predicted_column_matches_bisected_crossings(capsys, bundled_file
                        "--zero-file", str(bundled_file))
     assert code == 0
     got = np.array([int(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]])
-    # reference: on report's grid, count the bisected crossings at or below k
+    # reference: on report's grid, count predict_zeros' crossings at or below k
     ks = 0.001 * np.arange(1, 100_001)
     ks = ks[ks <= 100 + 1e-12]
     crossings = predict_zeros(math.ceil(phi_smooth(100.0)) + 2)

@@ -43,6 +43,9 @@ CASES = (
     # the scan step is fixed, so asking for one is a usage error
     (("find-zeros", "--t-max", "30", "--step", "0.1"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # find-zeros checks nothing, so it takes no tolerance
+    (("find-zeros", "--t-max", "30", "--tol", "count=1"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("count", "--t-max", "30", "--scan-step", "0.1"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("count", "--t-max", "50", "--zero-file", ZF), 0,
@@ -55,14 +58,16 @@ CASES = (
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("count", "--t-max", "50", "--zero-file", ZF, "--tol", "count"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # the predicted crossings are in closed form, within 1e-12 of the true ones
     (("predict", "--n", "25", "--zero-file", ZF), 0,
-     "b96450a79e976fa1c55676aa4a068f47c312262024a5edb5ad3c5ec255566aa5"),
+     "3ac5347665920f6b616dba9f3bbba980296d690d7ac6e748e6ee4798776873e6"),
     (("predict", "--n", "0", "--zero-file", ZF), 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("residual", "--z", "50", "--t-max", "100", "--zero-file", ZF), 0,
      "c62c73d24c71ab06f6b7a321baebacae6d8c4cd5e60b29d3b184e0ace707cf87"),
+    # the grid starts at the closed-form root a, where omega reads -1.1e-16
     (("omega", "--t-max", "100", "--step", "0.1", "--zero-file", ZF), 0,
-     "af6d1608733833f71a4ebf0f6add65d4dc1d8437037cf1371106bf6895cf47b0"),
+     "e7cf9470d1b67ee33d0182467152a0675ccbb37b4a3ea9efba358148345a3487"),
     (("omega", "--t-max", "100", "--step", "0", "--zero-file", ZF), 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("report", "--t-max", "100", "--step", "0.5", "--zero-file", ZF), 0,

@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from zetaprod import zerodist
 from zetaprod.errors import (
+    ConvergenceError,
     DomainError,
     InsufficientZerosError,
     RangeError,
@@ -44,7 +46,8 @@ FIRST_TEN = [
 def test_solve_a_value():
     a = solve_a()
     assert abs(a - 9.6769) < 1e-3
-    assert abs(a - 9.676906787166) < 1e-8
+    # 9.676906787165866847 is 2 pi exp(1 + W0(-7/(8e))) to 20 digits (mpmath)
+    assert abs(a - 9.676906787165866847) <= 2e-15
     assert abs(phi_smooth(a)) < 1e-11
     assert A_ROOT == a
 
@@ -250,6 +253,50 @@ def test_predictor_staircase_interleaves(literature_zeros):
 def test_predict_zeros_domain():
     with pytest.raises(DomainError):
         predict_zeros(0)
+
+
+def _phi_inverse_mp(level) -> float:
+    with mp.workdps(30):
+        c = (mp.mpf(level) - mp.mpf(7) / 8) / mp.e
+        return float(2 * mp.pi * mp.exp(1 + mp.lambertw(c).real))
+
+
+def test_predict_zeros_matches_mpmath_to_640():
+    levels = np.arange(1, 641) - 0.5
+    predicted = predict_zeros(640)
+    reference = np.array([_phi_inverse_mp(level) for level in levels])
+    assert float(np.max(np.abs(predicted - reference))) <= 1e-12
+    assert float(np.max(np.abs(phi_smooth(predicted) - levels))) <= 1e-12
+
+
+def test_predict_zeros_does_not_evaluate_phi(monkeypatch):
+    def no_phi(k):
+        raise AssertionError("predict_zeros must not search the curve")
+
+    monkeypatch.setattr(zerodist, "phi_smooth", no_phi)
+    predicted = predict_zeros(640)
+    assert predicted.shape == (640,)
+    # each level is solved on its own, so asking for fewer gives the same values
+    assert np.array_equal(predict_zeros(25), predicted[:25])
+
+
+def test_lambert_w0_matches_mpmath():
+    lo = -7 / (8 * math.e)  # c at level 0 (the root a), the lowest any caller uses
+    cs = np.concatenate(([lo, 0.0], np.linspace(lo, 1.0, 301), np.geomspace(1.0, 1e7, 301)))
+    w = zerodist._lambert_w0(cs)
+    with mp.workdps(30):
+        reference = np.array([float(mp.lambertw(float(c)).real) for c in cs])
+    assert np.all(np.abs(w - reference) <= 1e-15 * np.abs(reference))
+    # an entry does not depend on the others it is solved with
+    for i in (0, 1, 300, 450):
+        assert zerodist._lambert_w0(cs[i]) == w[i]
+
+
+@pytest.mark.parametrize("c", [math.nan, -0.5])
+def test_lambert_w0_raises_without_a_real_root(c):
+    # no real W0 below -1/e, so the iteration cannot settle
+    with pytest.raises(ConvergenceError):
+        zerodist._lambert_w0(c)
 
 
 # ------------------------------------------------------ crossing count
