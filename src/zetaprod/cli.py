@@ -10,20 +10,20 @@ computation or tolerance failure, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InsufficientZerosError, SingularityError, ZetaprodError
-from .specfun import log_xi_asymptotic, log_xi_z, xi_z
+from .errors import DomainError, InsufficientZerosError, ZetaprodError
+from .specfun import PI, TWO_PI, _log_xi_terms, log_xi_asymptotic, log_xi_z, xi_z
 from .transforms import ROW_VERIFICATION_PAIRS, cosh_demo, verify_table_row
 from .zerodist import (
     A_ROOT,
     ZeroList,
+    _phi_inverse,
     find_zeros,
     n_of_t,
     omega_stats,
@@ -33,16 +33,6 @@ from .zerodist import (
 )
 
 ZERO_FILE_ENV = "ZETAPROD_ZERO_FILE"
-
-_DEFAULT_TOL = {
-    "cosh": 1e-6,
-    "count": 2.0,
-    "predict-mean": 1.0,
-    "predict-max": 2.0,
-    "residual": 0.02,
-    "omega-mean": 0.25,
-    "staircase": 2.0,
-}
 
 
 def _g(x: float) -> str:
@@ -95,6 +85,17 @@ def _parse_rows(text: str) -> tuple[int, ...]:
     return rows
 
 
+def _parse_tol(text: str) -> tuple[str, float]:
+    name, _, raw = text.partition("=")
+    try:
+        value = float(raw) if name else None
+    except ValueError:
+        value = None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
 def _resolve_zeros(args: argparse.Namespace, needed_t: float) -> ZeroList:
     """Zero ordinates below needed_t: explicit file, then env, then scan."""
     path = args.zero_file or os.environ.get(ZERO_FILE_ENV)
@@ -113,19 +114,21 @@ def _resolve_zeros(args: argparse.Namespace, needed_t: float) -> ZeroList:
 def _cmd_xi_eval(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     z = args.z
     xi = xi_z(z)
-    real_input = z.imag == 0
 
     def fixed(w: complex, digits: int) -> str:
-        if real_input:
+        if z.imag == 0:
             return "%.*f" % (digits, w.real)
         return "%.*f%+.*fj" % (digits, w.real, digits, w.imag)
 
     if z.real > 0.5:
         ln = log_xi_z(z)
     else:
-        if xi == 0:
-            raise SingularityError(f"xi_z({_zlabel(z)}) = 0; log undefined")
-        ln = cmath.log(xi)
+        # log form: no underflow; phase in (-pi, pi], exactly 0 or pi on the line
+        ln = _log_xi_terms(z + 0.5)
+        if z.real == 0:
+            ln = complex(ln.real, PI * (round(ln.imag / PI) % 2))
+        else:
+            ln -= 1j * TWO_PI * round(ln.imag / TWO_PI)
     parts = [f"xi={fixed(xi, 6)}", f"ln_xi={fixed(ln, 5)}"]
     failures: list[str] = []
     if z.real > 10:
@@ -158,8 +161,7 @@ def _cmd_verify_table(args: argparse.Namespace) -> tuple[list[str], list[str]]:
 
 
 def _cmd_cosh_demo(args: argparse.Namespace) -> tuple[list[str], list[str]]:
-    z = args.z
-    res = cosh_demo(z, args.fourier_terms)
+    res = cosh_demo(args.z, args.fourier_terms)
     diff = abs(res.reconstructed - res.exact)
     line = (
         f"reconstructed={_gc(res.reconstructed)} exact={_gc(res.exact)} "
@@ -173,9 +175,9 @@ def _cmd_cosh_demo(args: argparse.Namespace) -> tuple[list[str], list[str]]:
 
 def _cmd_find_zeros(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     zeros = find_zeros(args.t_max, jobs=args.jobs)
-    if args.output_path is not None:
-        zeros.write(args.output_path)
-        return [f"wrote {len(zeros)} zeros to {args.output_path}"], []
+    if args.zeros_out is not None:
+        zeros.write(args.zeros_out)
+        return [f"wrote {len(zeros)} zeros to {args.zeros_out}"], []
     return zeros.to_text().splitlines(), []
 
 
@@ -192,12 +194,13 @@ def _cmd_count(args: argparse.Namespace) -> tuple[list[str], list[str]]:
 
 
 def _cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[str]]:
-    predicted = predict_zeros(args.n_max)
-    zeros = _resolve_zeros(args, float(predicted[-1]) + 3.0)
+    # the n-th crossing alone sets the height: check the source before building arrays
+    zeros = _resolve_zeros(args, float(_phi_inverse(args.n_max - 0.5)) + 3.0)
     if len(zeros) < args.n_max:
         raise InsufficientZerosError(
             f"need {args.n_max} zeros, zero source provides {len(zeros)}"
         )
+    predicted = predict_zeros(args.n_max)
     actual = zeros.ordinates[: args.n_max]
     devs = actual - predicted
     lines = ["n,predicted_k,actual_k,deviation"]
@@ -221,11 +224,10 @@ def _cmd_residual(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     failures: list[str] = []
     for z, value, estimate in report.samples:
         lines.append(f"{_g(z)},{_g(value)},{_g(estimate)}")
-        allowed = max(args.tol["residual"], estimate)
-        if abs(value - report.constant_derived) > allowed:
+        if abs(value - report.constant_derived) > args.tol["residual"]:
             failures.append(
                 f"residual at z={_g(z)} is {_g(value)}, outside "
-                f"{_g(report.constant_derived)} +- {allowed:.3g}"
+                f"{_g(report.constant_derived)} +- {args.tol['residual']:.3g}"
             )
     return lines, failures
 
@@ -245,6 +247,8 @@ def _cmd_omega(args: argparse.Namespace) -> tuple[list[str], list[str]]:
 
 
 def _cmd_report(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+    if args.grid_step > args.t_max:
+        raise DomainError(f"grid step {args.grid_step!r} exceeds t_max {args.t_max!r}")
     zeros = _resolve_zeros(args, args.t_max)
     n = int(round(args.t_max / args.grid_step))
     ks = args.grid_step * np.arange(1, n + 1)
@@ -266,142 +270,125 @@ def _cmd_report(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     return lines, failures
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[list[str], list[str]]]] = {
-    "xi-eval": _cmd_xi_eval,
-    "verify-table": _cmd_verify_table,
-    "cosh-demo": _cmd_cosh_demo,
-    "find-zeros": _cmd_find_zeros,
-    "count": _cmd_count,
-    "predict": _cmd_predict,
-    "residual": _cmd_residual,
-    "omega": _cmd_omega,
-    "report": _cmd_report,
-}
-
-
 def _add_zero_source(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--zero-file", type=Path, default=None,
                     help=f"read ordinates from this file (default: ${ZERO_FILE_ENV}, else compute)")
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers for the zero scan")
 
 
-def _add_common(sp: argparse.ArgumentParser, out_help: str) -> None:
-    sp.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                    help="override a named tolerance (repeatable)")
+def _add_common(sp: argparse.ArgumentParser, handler, out_help: str,
+                tolerances: dict[str, float] | None = None) -> None:
+    """Attach the handler, --tol for the tolerances it checks (if any) and --out."""
+    sp.set_defaults(handler=handler)
+    if tolerances:
+        sp.add_argument("--tol", action="append", default=[], type=_parse_tol,
+                        metavar="NAME=VALUE", help="override a checked tolerance (repeatable): "
+                        + ", ".join(f"{name}={value:g}" for name, value in tolerances.items()))
+        sp.set_defaults(tol_defaults=tolerances)
     sp.add_argument("--out", type=Path, default=None, dest="output_path", help=out_help)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Declare every subcommand: its options, handler and checked tolerances."""
     parser = argparse.ArgumentParser(
         prog="zetaprod",
         description="Log transforms of zero-counting measures for the symmetrized zeta function.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    csv_out = "write the CSV to a file instead of stdout"
 
     sp = sub.add_parser("xi-eval", help="evaluate xi_z and its logarithm at a point")
     sp.add_argument("--z", required=True, metavar="RE[,IM]", type=_parse_point)
-    _add_common(sp, "write the line to a file instead of stdout")
+    _add_common(sp, _cmd_xi_eval, "write the line to a file instead of stdout")
 
     sp = sub.add_parser("verify-table", help="closed forms vs adaptive quadrature")
     sp.add_argument("--rows", type=_parse_rows, default=tuple(range(1, 10)),
                     metavar="R1,R2,...", help="rows to check (default all nine)")
     sp.add_argument("--all-pairs", action="store_true",
                     help="check every catalog pair, not just the first per row")
-    _add_common(sp, "write the lines to a file instead of stdout")
+    _add_common(sp, _cmd_verify_table, "write the lines to a file instead of stdout")
 
     sp = sub.add_parser("cosh-demo", help="log cosh reconstruction from the term series")
     sp.add_argument("--z", required=True, metavar="RE[,IM]", type=_parse_point)
     sp.add_argument("--terms", type=int, default=40, dest="fourier_terms")
-    _add_common(sp, "write the line to a file instead of stdout")
+    _add_common(sp, _cmd_cosh_demo, "write the line to a file instead of stdout",
+                {"cosh": 1e-6})
 
     sp = sub.add_parser("find-zeros", help="scan for zero ordinates and emit a zero file")
     sp.add_argument("--t-max", type=float, required=True, dest="t_max")
-    sp.add_argument("--out", type=Path, default=None, dest="output_path",
+    sp.add_argument("--out", type=Path, default=None, dest="zeros_out",
                     help="write the zero file here (default: print to stdout)")
     sp.add_argument("--jobs", type=int, default=1)
-    sp.set_defaults(tol=[])  # for _check_args; find-zeros has no tolerances
+    sp.set_defaults(handler=_cmd_find_zeros)
 
     sp = sub.add_parser("count", help="actual zero count vs the counting formula")
     sp.add_argument("--t-max", type=float, required=True, dest="t_max")
     _add_zero_source(sp)
-    _add_common(sp, "write the line to a file instead of stdout")
+    _add_common(sp, _cmd_count, "write the line to a file instead of stdout", {"count": 2.0})
 
     sp = sub.add_parser("predict", help="predicted vs actual ordinates, CSV")
     sp.add_argument("--n", type=int, required=True, dest="n_max")
     _add_zero_source(sp)
-    _add_common(sp, "write the CSV to a file instead of stdout")
+    _add_common(sp, _cmd_predict, csv_out, {"predict-mean": 1.0, "predict-max": 2.0})
 
     sp = sub.add_parser("residual", help="zero-product residual against T5, CSV")
     sp.add_argument("--z", required=True, metavar="Z1,Z2,...", type=_parse_reals,
                     dest="z_samples")
     sp.add_argument("--t-max", type=float, required=True, dest="t_max")
     _add_zero_source(sp)
-    _add_common(sp, "write the CSV to a file instead of stdout")
+    _add_common(sp, _cmd_residual, csv_out, {"residual": 0.02})
 
     sp = sub.add_parser("omega", help="oscillatory remainder and running mean, CSV")
     sp.add_argument("--t-max", type=float, required=True, dest="t_max")
     sp.add_argument("--step", type=float, default=0.1, dest="grid_step")
     _add_zero_source(sp)
-    _add_common(sp, "write the CSV to a file instead of stdout")
+    _add_common(sp, _cmd_omega, csv_out, {"omega-mean": 0.25})
 
     sp = sub.add_parser("report", help="smooth, actual, predicted counts on a grid, CSV")
     sp.add_argument("--t-max", type=float, required=True, dest="t_max")
     sp.add_argument("--step", type=float, default=0.5, dest="grid_step")
     _add_zero_source(sp)
-    _add_common(sp, "write the CSV to a file instead of stdout")
+    _add_common(sp, _cmd_report, csv_out, {"staircase": 2.0})
 
     return parser
 
 
-def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Validate the parsed options and replace args.tol by every tolerance.
+def _check_args(args: argparse.Namespace) -> None:
+    """Validate the parsed options and replace args.tol by every checked tolerance.
 
-    A malformed --tol is a usage error (exit 2); an out-of-range value
+    An out-of-range value, or a tolerance the subcommand does not check,
     raises :class:`DomainError` like any other computation error (exit 1).
     """
-    tolerances: dict[str, float] = {}
-    for item in args.tol:
-        name, sep, raw = item.partition("=")
-        if not sep or not name:
-            parser.error(f"--tol expects NAME=VALUE, got {item!r}")
-        try:
-            tolerances[name] = float(raw)
-        except ValueError:
-            parser.error(f"--tol {name}: not a number: {raw!r}")
-
     if "t_max" in args and not (A_ROOT < args.t_max <= 1000):
         raise DomainError(f"t_max must lie in (a={A_ROOT:.6g}, 1000], got {args.t_max!r}")
-    for name, value in tolerances.items():
-        if name not in _DEFAULT_TOL:
-            raise DomainError(
-                f"unknown tolerance {name!r}; known: {', '.join(sorted(_DEFAULT_TOL))}"
-            )
-        if not (value > 0):
-            raise DomainError(f"tolerance {name} must be positive, got {value!r}")
-    if "fourier_terms" in args and args.fourier_terms < 1:
-        raise DomainError(f"fourier_terms must be >= 1, got {args.fourier_terms!r}")
+    if "tol" in args:
+        known = args.tol_defaults
+        for name, value in args.tol:
+            if name not in known:
+                raise DomainError(
+                    f"unknown tolerance {name!r}; known: {', '.join(sorted(known))}"
+                )
+            if not (value > 0):
+                raise DomainError(f"tolerance {name} must be positive, got {value!r}")
+        args.tol = {**known, **dict(args.tol)}
     if "grid_step" in args and not (args.grid_step > 0):
         raise DomainError(f"grid step must be positive, got {args.grid_step!r}")
-    if args.subcommand == "report" and args.grid_step > args.t_max:
-        raise DomainError(f"grid step {args.grid_step!r} exceeds t_max {args.t_max!r}")
     if "n_max" in args and args.n_max < 1:
         raise DomainError(f"n must be >= 1, got {args.n_max!r}")
-    args.tol = {**_DEFAULT_TOL, **tolerances}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_args(parser, args)
-        lines, failures = _HANDLERS[args.subcommand](args)
+        _check_args(args)
+        lines, failures = args.handler(args)
     except ZetaprodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     text = "\n".join(lines) + "\n"
-    # find-zeros writes its --out file itself; its lines are the notice
-    if args.output_path is not None and args.subcommand != "find-zeros":
+    if getattr(args, "output_path", None) is not None:
         with open(args.output_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:

@@ -45,6 +45,17 @@ def test_xi_eval_complex_with_asymptotics(capsys):
     assert "asym_dev=" in out and "asym_bound=" in out
 
 
+@pytest.mark.parametrize("z,expected", [
+    ("0,950", "xi=0.000000+0.000000j ln_xi=-734.11857+0.00000j"),
+    ("0.2,990", "xi=0.000000+0.000000j ln_xi=-764.85797+0.86281j"),
+])
+def test_xi_eval_log_where_xi_underflows(capsys, z, expected):
+    # mpmath: ln xi_z(950i) = -734.1185721
+    code, out, _ = run(capsys, "xi-eval", "--z", z)
+    assert code == 0
+    assert out == expected + "\n"
+
+
 def test_xi_eval_missing_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["xi-eval"])
@@ -264,6 +275,68 @@ def test_tol_unknown_name(capsys, bundled_file):
                        "--tol", "nope=1")
     assert code == 1
     assert "unknown tolerance" in err
+
+
+def test_tol_name_from_another_subcommand(capsys, bundled_file):
+    code, out, err = run(capsys, "count", "--t-max", "50",
+                         "--zero-file", str(bundled_file),
+                         "--tol", "residual=1e-30", "--tol", "predict-max=1e-30")
+    assert code == 1
+    assert out == ""
+    assert "error: unknown tolerance 'residual'; known: count" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("xi-eval", "--z", "0"),
+    ("verify-table", "--rows", "1"),
+    ("find-zeros", "--t-max", "15"),
+])
+def test_tol_rejected_where_nothing_is_checked(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "cosh=1e-30"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_every_tolerance_is_settable_once():
+    # 7 named tolerances, each on the one subcommand that checks it
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "subcommand")
+    owners = {}
+    for name, sp in sub.choices.items():
+        for tol in sp.get_default("tol_defaults") or {}:
+            owners.setdefault(tol, []).append(name)
+    assert owners == {
+        "cosh": ["cosh-demo"], "count": ["count"], "predict-mean": ["predict"],
+        "predict-max": ["predict"], "residual": ["residual"],
+        "omega-mean": ["omega"], "staircase": ["report"],
+    }
+
+
+def test_residual_tolerance_binds(capsys, bundled_file):
+    # |residual - constant| at z=50 is 6.4e-4, the tail estimate 0.05
+    code, out, err = run(capsys, "residual", "--z", "50", "--t-max", "100",
+                         "--zero-file", str(bundled_file), "--tol", "residual=1e-4")
+    assert code == 1
+    assert out.splitlines()[2].startswith("50,")
+    assert "+- 0.0001" in err
+    code, _, _ = run(capsys, "residual", "--z", "50", "--t-max", "100",
+                     "--zero-file", str(bundled_file), "--tol", "residual=1e-3")
+    assert code == 0
+
+
+def test_predict_checks_source_before_building_arrays(capsys, monkeypatch, bundled_file):
+    original = cli.predict_zeros
+
+    def bounded(n_max):
+        assert n_max <= 29, "predict_zeros called past the zero source"
+        return original(n_max)
+
+    monkeypatch.setattr(cli, "predict_zeros", bounded)
+    code, out, err = run(capsys, "predict", "--n", "1000000000000",
+                         "--zero-file", str(bundled_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_tol_malformed_usage_error(capsys, bundled_file):

@@ -89,6 +89,20 @@ CASES = (
      "a5631956ab9806be19d48e8491dbfd4e787d76f9446060a559b67b8227b512a4"),
     (("xi-eval", "--z", "0.7,999"), 0,
      "9324c4de5b0feda160e4d17d277c35730f8c58eaa6fca0ffaaf6f2ed92fe3afe"),
+    # xi underflows here, its log form does not: ln_xi=-764.85797+0.86281j
+    (("xi-eval", "--z", "0.2,990"), 0,
+     "d2c65ad2d2b1206d226ddcf7f9fb6edf20a742c1d49784eac172778f34c2ec0f"),
+    # each subcommand takes only the tolerances it checks: none for these two
+    (("xi-eval", "--z", "0", "--tol", "cosh=1"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("verify-table", "--rows", "1", "--tol", "cosh=1"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # and count checks no residual
+    (("count", "--t-max", "50", "--zero-file", ZF, "--tol", "residual=1"), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # the residual tolerance binds on its own, below the tail estimate 0.05
+    (("residual", "--z", "50", "--t-max", "100", "--zero-file", ZF, "--tol", "residual=1e-4"), 1,
+     "c62c73d24c71ab06f6b7a321baebacae6d8c4cd5e60b29d3b184e0ace707cf87"),
 )
 
 

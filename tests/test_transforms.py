@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from zetaprod.errors import ConvergenceError, DomainError, SingularityError
+from zetaprod.errors import ConvergenceError, DomainError, ProximityError, SingularityError
 from zetaprod.specfun import _xi_z_phase, xi_z
 from zetaprod.transforms import (
     ROW_VERIFICATION_PAIRS,
@@ -260,6 +260,11 @@ def test_contour_counts_xi_zeros():
 def test_contour_phase_handle_larger_radius():
     assert count_zeros_contour(_xi_z_phase, 30.0, min_samples=512) == 3
     assert count_zeros_contour(_xi_z_phase, 40.0, min_samples=512) == 6
+
+
+def test_contour_through_a_zero_raises_proximity():
+    with pytest.raises(ProximityError):
+        count_zeros_contour(xi_z, 14.134725141734695)
 
 
 def test_contour_rejects_f_not_real_on_the_axes():

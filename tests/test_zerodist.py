@@ -11,6 +11,7 @@ import pytest
 
 from zetaprod import zerodist
 from zetaprod.errors import (
+    ClusterError,
     ConvergenceError,
     DomainError,
     InsufficientZerosError,
@@ -174,6 +175,25 @@ def test_find_zeros_evaluation_counts(monkeypatch):
     assert len(find_zeros(100.0)) == 29
     assert calls["line"] <= 522
     assert calls["contour"] <= 191
+
+
+def test_find_zeros_cluster_error(monkeypatch):
+    # at a step of 0.5 the pair 750.6560, 750.9664 shares a scan interval;
+    # the scan misses both and the contour count must catch it
+    monkeypatch.setattr(zerodist, "_SCAN_STEP", 0.5)
+    with pytest.raises(ClusterError):
+        find_zeros(760.0)
+
+
+def test_find_zeros_moves_contour_off_a_zero(monkeypatch):
+    # t_max - 0.02 = 14.14 lies within 0.02 of the first zero, 14.1347
+    radii = []
+    original = zerodist.count_zeros_contour
+    monkeypatch.setattr(zerodist, "count_zeros_contour",
+                        lambda f, r, **kw: radii.append(r) or original(f, r, **kw))
+    assert len(find_zeros(14.16)) == 1
+    assert radii == [pytest.approx(14.09)]
+    assert abs(radii[0] - FIRST_TEN[0]) >= 0.02
 
 
 def test_find_zeros_domain():
