@@ -10,10 +10,11 @@ computation or tolerance failure, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .transforms import ROW_VERIFICATION_PAIRS, cosh_demo, verify_table_row
 from .zerodist import (
     A_ROOT,
     ZeroList,
+    _check_residual_z,
     _phi_inverse,
     find_zeros,
     n_of_t,
@@ -34,6 +36,12 @@ from .zerodist import (
 
 ZERO_FILE_ENV = "ZETAPROD_ZERO_FILE"
 
+#: Rows formatted per write by _write_rows.
+_BLOCK = 4096
+
+#: Where a handler sends its output: the --out file's or stdout's write.
+Write = Callable[[str], object]
+
 
 def _g(x: float) -> str:
     return "%.10g" % x
@@ -44,6 +52,13 @@ def _gc(w: complex) -> str:
     if w.imag == 0:
         return _g(w.real)
     return "%.10g%+.10gj" % (w.real, w.imag)
+
+
+def _write_rows(write: Write, template: str, *columns: np.ndarray) -> None:
+    """Write template per row of the columns: one ``.tolist()`` and one ``%`` per block."""
+    for start in range(0, len(columns[0]), _BLOCK):
+        values = np.column_stack([c[start:start + _BLOCK] for c in columns]).ravel().tolist()
+        write(template * (len(values) // len(columns)) % tuple(values))
 
 
 def _zlabel(z: complex) -> str:
@@ -111,7 +126,7 @@ def _resolve_zeros(args: argparse.Namespace, needed_t: float) -> ZeroList:
     return find_zeros(needed_t, jobs=args.jobs)
 
 
-def _cmd_xi_eval(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+def _cmd_xi_eval(args: argparse.Namespace, write: Write) -> list[str]:
     z = args.z
     xi = xi_z(z)
 
@@ -134,15 +149,14 @@ def _cmd_xi_eval(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     if z.real > 10:
         terms = log_xi_asymptotic(z)
         dev = abs(ln - terms.main_sum())
-        parts.append(f"asym_dev={dev:.3e}")
-        parts.append(f"asym_bound={terms.remainder_bound:.3e}")
+        parts += [f"asym_dev={dev:.3e}", f"asym_bound={terms.remainder_bound:.3e}"]
         if dev > terms.remainder_bound:
             failures.append(f"asymptotic deviation {dev:.3e} exceeds {terms.remainder_bound:.3e}")
-    return [" ".join(parts)], failures
+    write(" ".join(parts) + "\n")
+    return failures
 
 
-def _cmd_verify_table(args: argparse.Namespace) -> tuple[list[str], list[str]]:
-    lines: list[str] = []
+def _cmd_verify_table(args: argparse.Namespace, write: Write) -> list[str]:
     failures: list[str] = []
     for row in args.rows:
         pairs = ROW_VERIFICATION_PAIRS[row]
@@ -150,62 +164,58 @@ def _cmd_verify_table(args: argparse.Namespace) -> tuple[list[str], list[str]]:
             pairs = pairs[:1]
         for a, z in pairs:
             chk = verify_table_row(row, a, z)
-            lines.append(
+            write(
                 f"row={row} a={_g(a)} z={_zlabel(z)} closed={_gc(chk.closed)} "
                 f"numeric={_gc(chk.numeric.value)} tol={chk.tolerance:.3e} "
-                f"agree={'true' if chk.agree else 'false'}"
+                f"agree={'true' if chk.agree else 'false'}\n"
             )
             if not chk.agree:
                 failures.append(f"row {row} disagrees at a={_g(a)}, z={_zlabel(z)}")
-    return lines, failures
+    return failures
 
 
-def _cmd_cosh_demo(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+def _cmd_cosh_demo(args: argparse.Namespace, write: Write) -> list[str]:
     res = cosh_demo(args.z, args.fourier_terms)
     diff = abs(res.reconstructed - res.exact)
-    line = (
+    write(
         f"reconstructed={_gc(res.reconstructed)} exact={_gc(res.exact)} "
-        f"abs_diff={diff:.3e} terms={args.fourier_terms}"
+        f"abs_diff={diff:.3e} terms={args.fourier_terms}\n"
     )
-    failures: list[str] = []
     if diff > args.tol["cosh"]:
-        failures.append(f"|reconstructed - exact| = {diff:.3e} > {args.tol['cosh']:.3e}")
-    return [line], failures
+        return [f"|reconstructed - exact| = {diff:.3e} > {args.tol['cosh']:.3e}"]
+    return []
 
 
-def _cmd_find_zeros(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+def _cmd_find_zeros(args: argparse.Namespace, write: Write) -> list[str]:
     zeros = find_zeros(args.t_max, jobs=args.jobs)
-    if args.zeros_out is not None:
-        zeros.write(args.zeros_out)
-        return [f"wrote {len(zeros)} zeros to {args.zeros_out}"], []
-    return zeros.to_text().splitlines(), []
+    write(zeros.to_text())
+    if args.output_path is not None:
+        print(f"wrote {len(zeros)} zeros to {args.output_path}")
+    return []
 
 
-def _cmd_count(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+def _cmd_count(args: argparse.Namespace, write: Write) -> list[str]:
     zeros = _resolve_zeros(args, args.t_max)
     actual = zeros.count_below(args.t_max)
     formula = n_of_t(args.t_max)
     diff = actual - formula
-    lines = [f"actual={actual} formula={_g(formula)} diff={_g(diff)}"]
-    failures: list[str] = []
+    write(f"actual={actual} formula={_g(formula)} diff={_g(diff)}\n")
     if abs(diff) >= args.tol["count"]:
-        failures.append(f"|actual - formula| = {abs(diff):.3g} >= {args.tol['count']:g}")
-    return lines, failures
+        return [f"|actual - formula| = {abs(diff):.3g} >= {args.tol['count']:g}"]
+    return []
 
 
-def _cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+def _cmd_predict(args: argparse.Namespace, write: Write) -> list[str]:
     # the n-th crossing alone sets the height: check the source before building arrays
     zeros = _resolve_zeros(args, float(_phi_inverse(args.n_max - 0.5)) + 3.0)
     if len(zeros) < args.n_max:
-        raise InsufficientZerosError(
-            f"need {args.n_max} zeros, zero source provides {len(zeros)}"
-        )
+        raise InsufficientZerosError(f"need {args.n_max} zeros, zero source provides {len(zeros)}")
     predicted = predict_zeros(args.n_max)
     actual = zeros.ordinates[: args.n_max]
     devs = actual - predicted
-    lines = ["n,predicted_k,actual_k,deviation"]
-    for i in range(args.n_max):
-        lines.append(f"{i + 1},{_g(predicted[i])},{_g(actual[i])},{_g(devs[i])}")
+    write("n,predicted_k,actual_k,deviation\n")
+    _write_rows(write, "%d,%.10g,%.10g,%.10g\n",
+                np.arange(1, args.n_max + 1), predicted, actual, devs)
     failures: list[str] = []
     mean_dev = float(np.mean(np.abs(devs)))
     max_dev = float(np.max(np.abs(devs)))
@@ -213,40 +223,40 @@ def _cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[str]]:
         failures.append(f"mean |deviation| = {mean_dev:.3g} > {args.tol['predict-mean']:g}")
     if max_dev > args.tol["predict-max"]:
         failures.append(f"max |deviation| = {max_dev:.3g} > {args.tol['predict-max']:g}")
-    return lines, failures
+    return failures
 
 
-def _cmd_residual(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+def _cmd_residual(args: argparse.Namespace, write: Write) -> list[str]:
     zeros = _resolve_zeros(args, args.t_max)
-    report = residual_report(args.z_samples, zeros)
-    lines = [f"# constant_derived={_g(report.constant_derived)}",
-             "z,residual,tail_estimate"]
+    for z in args.z_samples:
+        _check_residual_z(z, zeros)
+    # residual_report per z (and with none for the constant): each row goes out once computed
+    constant = residual_report((), zeros).constant_derived
+    write(f"# constant_derived={_g(constant)}\nz,residual,tail_estimate\n")
     failures: list[str] = []
-    for z, value, estimate in report.samples:
-        lines.append(f"{_g(z)},{_g(value)},{_g(estimate)}")
-        if abs(value - report.constant_derived) > args.tol["residual"]:
+    for z in args.z_samples:
+        [(_, value, estimate)] = residual_report((z,), zeros).samples
+        write(f"{_g(z)},{_g(value)},{_g(estimate)}\n")
+        if abs(value - constant) > args.tol["residual"]:
             failures.append(
                 f"residual at z={_g(z)} is {_g(value)}, outside "
-                f"{_g(report.constant_derived)} +- {args.tol['residual']:.3g}"
+                f"{_g(constant)} +- {args.tol['residual']:.3g}"
             )
-    return lines, failures
+    return failures
 
 
-def _cmd_omega(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+def _cmd_omega(args: argparse.Namespace, write: Write) -> list[str]:
     zeros = _resolve_zeros(args, args.t_max)
     stats = omega_stats(zeros, grid_step=args.grid_step)
-    lines = ["k,omega,running_mean"]
-    for k, om, mean in zip(*stats.grid.T, stats.running_mean[:, 1]):
-        lines.append(f"{_g(k)},{_g(om)},{_g(mean)}")
-    failures: list[str] = []
-    if args.t_max >= 50 and abs(stats.final_mean) > args.tol["omega-mean"]:
-        failures.append(
-            f"|running mean| at t_max = {abs(stats.final_mean):.3g} > {args.tol['omega-mean']:g}"
-        )
-    return lines, failures
+    write("k,omega,running_mean\n")
+    _write_rows(write, "%.10g,%.10g,%.10g\n", *stats.grid.T, stats.running_mean[:, 1])
+    if abs(stats.final_mean) > args.tol["omega-mean"]:
+        return [f"|running mean| at t_max = {abs(stats.final_mean):.3g} "
+                f"> {args.tol['omega-mean']:g}"]
+    return []
 
 
-def _cmd_report(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+def _cmd_report(args: argparse.Namespace, write: Write) -> list[str]:
     if args.grid_step > args.t_max:
         raise DomainError(f"grid step {args.grid_step!r} exceeds t_max {args.t_max!r}")
     zeros = _resolve_zeros(args, args.t_max)
@@ -258,16 +268,12 @@ def _cmd_report(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     # The n-th predicted ordinate is where phi crosses n - 1/2 above a, so
     # the predicted count is phi rounded; below a phi climbs back to 7/8.
     phi_prd = np.where(ks > A_ROOT, np.floor(phi_sm + 0.5), 0)
-    lines = ["k,phi_smooth,phi_actual,phi_predicted"]
-    for k, sm, act, prd in zip(ks, phi_sm, phi_act, phi_prd):
-        lines.append(f"{_g(k)},{_g(sm)},{int(act)},{int(prd)}")
-    failures: list[str] = []
+    write("k,phi_smooth,phi_actual,phi_predicted\n")
+    _write_rows(write, "%.10g,%.10g,%d,%d\n", ks, phi_sm, phi_act, phi_prd)
     max_gap = int(np.max(np.abs(phi_act - phi_prd)))
     if max_gap > args.tol["staircase"]:
-        failures.append(
-            f"actual and predicted staircases differ by {max_gap} > {args.tol['staircase']:g}"
-        )
-    return lines, failures
+        return [f"actual and predicted staircases differ by {max_gap} > {args.tol['staircase']:g}"]
+    return []
 
 
 def _add_zero_source(sp: argparse.ArgumentParser) -> None:
@@ -316,10 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("find-zeros", help="scan for zero ordinates and emit a zero file")
     sp.add_argument("--t-max", type=float, required=True, dest="t_max")
-    sp.add_argument("--out", type=Path, default=None, dest="zeros_out",
-                    help="write the zero file here (default: print to stdout)")
     sp.add_argument("--jobs", type=int, default=1)
-    sp.set_defaults(handler=_cmd_find_zeros)
+    _add_common(sp, _cmd_find_zeros, "write the zero file here (default: print to stdout)")
 
     sp = sub.add_parser("count", help="actual zero count vs the counting formula")
     sp.add_argument("--t-max", type=float, required=True, dest="t_max")
@@ -382,17 +386,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        lines, failures = args.handler(args)
-    except ZetaprodError as exc:
+        # opened (and truncated) before the run, like a shell redirection
+        with (contextlib.nullcontext(sys.stdout) if args.output_path is None else
+              open(args.output_path, "w", encoding="utf-8", newline="\n")) as out:
+            failures = args.handler(args, out.write)
+    except (ZetaprodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    text = "\n".join(lines) + "\n"
-    if getattr(args, "output_path", None) is not None:
-        with open(args.output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
     if failures:
         print("FAIL: " + "; ".join(failures), file=sys.stderr)

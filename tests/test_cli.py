@@ -9,6 +9,7 @@ import pytest
 
 from zetaprod import cli, zerodist
 from zetaprod.cli import ZERO_FILE_ENV, main
+from zetaprod.errors import ConvergenceError
 from zetaprod.zerodist import ZeroList, phi_smooth, predict_zeros
 
 
@@ -258,6 +259,18 @@ def test_csv_out_file(capsys, bundled_file, tmp_path):
     assert text.startswith("n,predicted_k,actual_k,deviation\n")
 
 
+@pytest.mark.parametrize("argv", [("count", "--t-max", "50"), ("find-zeros", "--t-max", "1000")],
+                         ids=["count", "find-zeros"])
+def test_out_path_that_cannot_be_opened(capsys, monkeypatch, tmp_path, argv):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before opening --out")
+
+    monkeypatch.setattr(cli, "find_zeros", no_scan)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "No such file" in err
+
+
 # ------------------------------------------------------ tolerances
 
 
@@ -373,3 +386,45 @@ def test_residual_checks_every_z_before_computing(capsys, monkeypatch, bundled_f
     assert out == ""
     assert "error: residual requires real z >= 50" in err
     assert calls == []
+
+
+
+# ------------------------------------------------- partial output on error
+
+
+def _fail_at_second_call(monkeypatch, owner, name):
+    original = getattr(owner, name)
+    calls = []
+
+    def second_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ConvergenceError("forced at the second call")
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, second_fails)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+@pytest.mark.parametrize("argv,owner,name,done", [
+    (("verify-table", "--rows", "1,2"), cli, "verify_table_row", ["row=1 "]),
+    (("residual", "--z", "50,50", "--t-max", "100"), zerodist, "residual",
+     ["# constant_derived=", "z,residual,tail_estimate", "50,"]),
+], ids=["verify-table", "residual"])
+def test_rows_done_before_an_error_are_kept(capsys, monkeypatch, tmp_path, bundled_file,
+                                            argv, owner, name, done, to_file):
+    _fail_at_second_call(monkeypatch, owner, name)
+    if argv[0] == "residual":
+        argv += ("--zero-file", str(bundled_file))
+    path = tmp_path / "partial.csv"
+    if to_file:
+        argv += ("--out", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: forced at the second call")
+    if to_file:
+        assert out == ""
+        out = path.read_text(encoding="utf-8")
+    lines = out.split("\n")
+    assert lines[-1] == "" and len(lines) == len(done) + 1
+    assert all(line.startswith(prefix) for line, prefix in zip(lines, done))

@@ -103,6 +103,12 @@ CASES = (
     # the residual tolerance binds on its own, below the tail estimate 0.05
     (("residual", "--z", "50", "--t-max", "100", "--zero-file", ZF, "--tol", "residual=1e-4"), 1,
      "c62c73d24c71ab06f6b7a321baebacae6d8c4cd5e60b29d3b184e0ace707cf87"),
+    # the omega-mean tolerance binds below t_max 50 too: the running mean ends at -0.0086
+    (("omega", "--t-max", "40", "--zero-file", ZF, "--tol", "omega-mean=1e-30"), 1,
+     "f83d8978f3b850431adc1b1e393ae3f083ac13da57ead6c94ca358fc1d4c3f40"),
+    # 9,034 rows: the CSV goes out in three blocks of at most 4,096
+    (("omega", "--t-max", "100", "--step", "0.01", "--zero-file", ZF), 0,
+     "abb8dac6814b8187a5b5ee939cb797f91f58764423bba515bb6e81493405136b"),
 )
 
 

@@ -1,5 +1,6 @@
 """Property tests: exact symmetries of xi_z, linearity of the step transform,
-and the closed-form inverse of the smooth counting curve.
+the closed-form inverse of the smooth counting curve, and the CLI's block
+CSV writer.
 
 Examples are drawn by hypothesis under the derandomized profile that
 ``conftest.py`` loads, so every run checks the same points.
@@ -13,6 +14,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zetaprod.cli import _BLOCK, _g, _write_rows
 from zetaprod.specfun import xi_z
 from zetaprod.transforms import StepFunction, transform_step
 from zetaprod.zerodist import _phi_inverse, phi_smooth
@@ -65,3 +67,20 @@ def test_phi_inverse_inverts_phi(level):
 @given(st.floats(0, 1e4), st.floats(1e-6, 1e3))
 def test_phi_inverse_increases(level, gap):
     assert _phi_inverse(level) < _phi_inverse(level + gap)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+       st.lists(st.integers(-2 ** 53, 2 ** 53), min_size=1, max_size=40),
+       st.sampled_from([0, 1, _BLOCK, _BLOCK + 1]))
+def test_write_rows_matches_per_row_formatting(floats, ints, rows):
+    # -0.0 and subnormals on every draw, whatever else is drawn
+    x = np.resize(np.array([-0.0, 5e-324, -2.5e-310, *floats]), rows)
+    y = np.roll(x, 1)
+    counts = np.resize(np.array(ints, dtype=np.int64), rows)
+    floors = counts.astype(float)
+    written: list[str] = []
+    _write_rows(written.append, "%.10g,%d,%.10g,%d\n", x, counts, y, floors)
+    assert len(written) == -(-rows // _BLOCK)
+    assert "".join(written) == "".join(
+        f"{_g(a)},{int(b)},{_g(c)},{int(d)}\n" for a, b, c, d in zip(x, counts, y, floors)
+    )
