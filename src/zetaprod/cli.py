@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from .transforms import ROW_VERIFICATION_PAIRS, cosh_demo, verify_table_row
 from .zerodist import (
     A_ROOT,
     ZeroList,
+    _check_grid,
     _check_residual_z,
     _phi_inverse,
     find_zeros,
@@ -68,10 +70,21 @@ def _zlabel(z: complex) -> str:
     return "%g%+gj" % (z.real, z.imag)
 
 
+def _finite(text: str) -> float:
+    """float(text) if it is finite; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_point(text: str) -> complex:
     try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError:
+        parts = [_finite(p) for p in text.split(",")]
+    except argparse.ArgumentTypeError:
         parts = []
     if len(parts) not in (1, 2):
         raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
@@ -80,8 +93,8 @@ def _parse_point(text: str) -> complex:
 
 def _parse_reals(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
+        values = tuple(_finite(p) for p in text.split(",") if p.strip())
+    except argparse.ArgumentTypeError:
         values = ()
     if not values:
         raise argparse.ArgumentTypeError(f"expected Z1,Z2,..., got {text!r}")
@@ -103,8 +116,8 @@ def _parse_rows(text: str) -> tuple[int, ...]:
 def _parse_tol(text: str) -> tuple[str, float]:
     name, _, raw = text.partition("=")
     try:
-        value = float(raw) if name else None
-    except ValueError:
+        value = _finite(raw) if name else None
+    except argparse.ArgumentTypeError:
         value = None
     if value is None:
         raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
@@ -259,6 +272,7 @@ def _cmd_omega(args: argparse.Namespace, write: Write) -> list[str]:
 def _cmd_report(args: argparse.Namespace, write: Write) -> list[str]:
     if args.grid_step > args.t_max:
         raise DomainError(f"grid step {args.grid_step!r} exceeds t_max {args.t_max!r}")
+    _check_grid(args.t_max, args.grid_step)
     zeros = _resolve_zeros(args, args.t_max)
     n = int(round(args.t_max / args.grid_step))
     ks = args.grid_step * np.arange(1, n + 1)
@@ -321,12 +335,12 @@ def _build_parser() -> argparse.ArgumentParser:
                 {"cosh": 1e-6})
 
     sp = sub.add_parser("find-zeros", help="scan for zero ordinates and emit a zero file")
-    sp.add_argument("--t-max", type=float, required=True, dest="t_max")
+    sp.add_argument("--t-max", type=_finite, required=True, dest="t_max")
     sp.add_argument("--jobs", type=int, default=1)
     _add_common(sp, _cmd_find_zeros, "write the zero file here (default: print to stdout)")
 
     sp = sub.add_parser("count", help="actual zero count vs the counting formula")
-    sp.add_argument("--t-max", type=float, required=True, dest="t_max")
+    sp.add_argument("--t-max", type=_finite, required=True, dest="t_max")
     _add_zero_source(sp)
     _add_common(sp, _cmd_count, "write the line to a file instead of stdout", {"count": 2.0})
 
@@ -338,19 +352,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("residual", help="zero-product residual against T5, CSV")
     sp.add_argument("--z", required=True, metavar="Z1,Z2,...", type=_parse_reals,
                     dest="z_samples")
-    sp.add_argument("--t-max", type=float, required=True, dest="t_max")
+    sp.add_argument("--t-max", type=_finite, required=True, dest="t_max")
     _add_zero_source(sp)
     _add_common(sp, _cmd_residual, csv_out, {"residual": 0.02})
 
     sp = sub.add_parser("omega", help="oscillatory remainder and running mean, CSV")
-    sp.add_argument("--t-max", type=float, required=True, dest="t_max")
-    sp.add_argument("--step", type=float, default=0.1, dest="grid_step")
+    sp.add_argument("--t-max", type=_finite, required=True, dest="t_max")
+    sp.add_argument("--step", type=_finite, default=0.1, dest="grid_step")
     _add_zero_source(sp)
     _add_common(sp, _cmd_omega, csv_out, {"omega-mean": 0.25})
 
     sp = sub.add_parser("report", help="smooth, actual, predicted counts on a grid, CSV")
-    sp.add_argument("--t-max", type=float, required=True, dest="t_max")
-    sp.add_argument("--step", type=float, default=0.5, dest="grid_step")
+    sp.add_argument("--t-max", type=_finite, required=True, dest="t_max")
+    sp.add_argument("--step", type=_finite, default=0.5, dest="grid_step")
     _add_zero_source(sp)
     _add_common(sp, _cmd_report, csv_out, {"staircase": 2.0})
 

@@ -212,20 +212,14 @@ def _log_xi_terms(s: complex) -> complex:
     """log xi_s up to a multiple of 2*pi*i, with no under- or overflow.
 
     The imaginary part carries the phase; the real part is log |xi_s|.
-    Used for sign scans and winding numbers high on the critical line,
-    where xi itself underflows.  Raises :class:`RangeError` beyond
-    |Im s| <= 1000, like :func:`xi_s`.
+    Used for the sign scan high on the critical line, where xi itself
+    underflows.  Raises :class:`RangeError` beyond |Im s| <= 1000, like
+    :func:`xi_s`.
     """
     if abs(s.imag) > IM_MAX:
         raise RangeError(f"_log_xi_terms supported for |Im s| <= {IM_MAX:g}")
     w = s if s.real >= 0.5 else 1 - s
     return _log_gamma_any(w / 2 + 1) - (w / 2) * LN_PI + cmath.log(_s1_zeta(w))
-
-
-def _xi_z_phase(z: complex) -> complex:
-    """Unit-modulus complex number with the phase of xi_z(z)."""
-    val = _log_xi_terms(complex(z) + 0.5)
-    return cmath.exp(1j * val.imag)
 
 
 def log_xi_z(z: complex) -> complex:

@@ -551,6 +551,35 @@ def correction_term_bound(quads: Sequence[StripQuad], z: complex) -> CorrectionB
     return CorrectionBound(total, budget, holds, first_violation)
 
 
+def _track_phase(g: Callable[[float], complex], params: np.ndarray, what: str):
+    """Samples of g at params, path parameters in path order (either direction), and the
+    continuous change of arg g along the path.  Steps whose phase jumps by more than pi/2
+    are bisected, new samples going in by index; :class:`ProximityError` names ``what``
+    when |g| dips below 1e-9 of its maximum."""
+    vals = np.array([complex(g(p)) for p in params])
+    for _ in range(40):
+        absv = np.abs(vals)
+        if absv.min() < 1e-9 * absv.max():
+            raise ProximityError(f"{what} passes within 1e-9 (relative) of a zero")
+        dphi = np.angle(vals[1:] / vals[:-1])
+        bad = np.flatnonzero(np.abs(dphi) > PI / 2)
+        if bad.size == 0:
+            return vals, float(np.sum(dphi))
+        if len(vals) + bad.size > 1_000_000:
+            raise ConvergenceError("phase refinement exceeded 1e6 samples")
+        mid = 0.5 * (params[bad] + params[bad + 1])
+        params = np.insert(params, bad + 1, mid)
+        vals = np.insert(vals, bad + 1, [complex(g(p)) for p in mid])
+    raise ConvergenceError("phase jumps persisted after 40 refinement passes")
+
+
+def _nearest_integer(x: float, what: str) -> int:
+    """x rounded; a ConvergenceError naming ``what`` unless x is within 0.125 of it."""
+    if abs(x - round(x)) > 0.125:
+        raise ConvergenceError(f"{what} of {x:.3f} is not near an integer")
+    return round(x)
+
+
 def count_zeros_contour(
     f: Callable[[complex], complex],
     radius: float,
@@ -558,8 +587,8 @@ def count_zeros_contour(
 ) -> int:
     """Zeros inside |z| < radius of f, which is even and real on the real axis.
 
-    f is analytic, or has the phase of an analytic function, as
-    ``specfun._xi_z_phase`` has that of ``xi_z``.  Being even and real on
+    f is analytic, or has the phase of an analytic function, which hides a
+    zero on the arc from the proximity test.  Being even and real on
     the real axis, f has f(-conj z) = conj f(z), so its phase change over the
     first-quadrant arc theta in [0, pi/2] is a quarter of its winding over
     the whole circle, and the zero count (half the winding) is that change
@@ -575,30 +604,8 @@ def count_zeros_contour(
         raise DomainError(f"radius must be positive, got {radius!r}")
     if min_samples < 64:
         raise DomainError("min_samples must be at least 64")
-    thetas = np.linspace(0.0, PI / 2, int(min_samples) // 4 + 1)
-    vals = np.array([complex(f(radius * cmath.exp(1j * t))) for t in thetas])
-
-    for _ in range(40):
-        absv = np.abs(vals)
-        if absv.min() < 1e-9 * absv.max():
-            raise ProximityError(
-                "contour passes within 1e-9 (relative) of a zero; "
-                "move the radius"
-            )
-        dphi = np.angle(vals[1:] / vals[:-1])
-        bad = np.flatnonzero(np.abs(dphi) > PI / 2)
-        if bad.size == 0:
-            break
-        if len(vals) + bad.size > 1_000_000:
-            raise ConvergenceError("contour refinement exceeded 1e6 samples")
-        mid = 0.5 * (thetas[bad] + thetas[bad + 1])
-        mid_vals = np.array([complex(f(radius * cmath.exp(1j * t))) for t in mid])
-        order = np.argsort(np.concatenate((thetas, mid)))
-        thetas = np.concatenate((thetas, mid))[order]
-        vals = np.concatenate((vals, mid_vals))[order]
-    else:
-        raise ConvergenceError("phase jumps persisted after 40 refinement passes")
-
+    vals, change = _track_phase(lambda t: f(radius * cmath.exp(1j * t)),
+                                np.linspace(0.0, PI / 2, int(min_samples) // 4 + 1), "contour")
     # Even and real on the real axis makes f real on the imaginary axis too,
     # so f must be real at both ends of the arc.  A zero within rounding of
     # an end (too close for the proximity test when |f| is normalized)
@@ -608,10 +615,4 @@ def count_zeros_contour(
             "f is not real at both ends of the quarter arc: it is not even and "
             "real on the real axis, or a zero sits at an end; move the radius"
         )
-    half_turns = float(np.sum(dphi)) / PI
-    rounded = round(half_turns)
-    if abs(half_turns - rounded) > 0.125:
-        raise ConvergenceError(
-            f"phase change of {half_turns:.3f} half-turns is not near an integer"
-        )
-    return rounded
+    return _nearest_integer(change / PI, "phase change in half-turns")

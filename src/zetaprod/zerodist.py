@@ -1,8 +1,8 @@
 """Zeros of xi on the critical line and the smooth counting model.
 
 The ordinates k_l with xi_z(i k_l) = 0 are found by a sign scan of the
-real-valued restriction of xi to the line, cross-checked by a contour
-count.  The smooth side is the curve phi(k) = (k/2pi) ln(k/2pi) - k/2pi
+real-valued restriction of xi to the line, checked by the exact count
+N(t_max).  The smooth side is the curve phi(k) = (k/2pi) ln(k/2pi) - k/2pi
 + 7/8, its root a, and the term bundles T4 and T5 that the transform of
 the smooth density produces; the residual operation measures what is left
 of the exact zero product after T5 is taken out.
@@ -29,8 +29,9 @@ from .errors import (
     InsufficientZerosError,
     RangeError,
 )
-from .specfun import LN_2PI, PI, TWO_PI, _log_xi_terms, _xi_z_phase, xi_z
-from .transforms import StepFunction, count_zeros_contour, transform_step
+from .specfun import LN_2PI, LN_PI, PI, TWO_PI, _log_gamma_any, _log_xi_terms, xi_z, zeta
+from .transforms import StepFunction, _nearest_integer, _track_phase, transform_step
+from .transforms import count_zeros_contour  # noqa: F401  bench/tracing.py wraps it here
 
 
 def phi_smooth(k):
@@ -99,6 +100,17 @@ def t5(z: complex) -> complex:
     return t4 + t5_constant(A_ROOT)
 
 
+def _file_number(text: str, number: int, line: str) -> float:
+    """float(text) if finite, else a DomainError naming zero-file line ``number``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"zero file line {number}: expected a number, got {line!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ZeroList:
     """Ascending zero ordinates, complete below the scan ceiling t_max."""
@@ -150,16 +162,14 @@ class ZeroList:
     def _parse(cls, lines: Iterable[str], t_max: float | None) -> "ZeroList":
         header_tmax = None
         vals = []
-        for raw in lines:
+        for number, raw in enumerate(lines, start=1):
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 m = re.search(r"t_max\s*[=:]\s*([0-9eE+.\-]+)", line)
                 if m:
-                    header_tmax = float(m.group(1))
-                continue
-            vals.append(float(line))
+                    header_tmax = _file_number(m.group(1), number, line)
+            elif line:
+                vals.append(_file_number(line, number, line))
         if t_max is None:
             t_max = header_tmax
         if t_max is None:
@@ -170,7 +180,10 @@ class ZeroList:
 
     @classmethod
     def read(cls, path, t_max: float | None = None) -> "ZeroList":
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"zero file {path} is not UTF-8 text ({exc.reason})") from None
         return cls._parse(text.splitlines(), t_max)
 
     @classmethod
@@ -241,16 +254,31 @@ def _chunk_roots(ts: np.ndarray) -> list[float]:
 _SCAN_STEP = 0.25
 
 
+def _theta(t: float) -> float:
+    """Riemann-Siegel theta, Im log Gamma(1/4 + it/2) - (t/2) ln pi."""
+    return _log_gamma_any(complex(0.25, 0.5 * t)).imag - 0.5 * t * LN_PI
+
+
+def _zero_count(t: float) -> int:
+    """Zeros of zeta with 0 < Im s < t <= 1000: N(t) = theta(t)/pi + 1 + arg zeta(1/2 + it)/pi
+    (Riemann-von Mangoldt), the argument carried from 2 + it, where re zeta > 0, along the
+    segment to 1/2 + it (Backlund; Edwards 1974, ch. 6)."""
+    vals, change = _track_phase(lambda s: zeta(complex(s, t)), np.linspace(2.0, 0.5, 17),
+                                f"zeta on [1/2, 2] + {t!r}i")
+    return _nearest_integer(_theta(t) / PI + 1 + (cmath.phase(vals[0]) + change) / PI,
+                            f"N({t:g})")
+
+
 def find_zeros(t_max: float, *, jobs: int = 1) -> ZeroList:
     """Scan [10, t_max] for sign changes of xi on the critical line.
 
     Each change is refined by Illinois false position on the rescaled real
     xi until its bracket is at most 1e-9 wide; the returned ordinates lie
-    within 1e-11 of the true zeros.  The count is checked against the
-    contour count on the quarter arc of radius just under t_max; a
-    mismatch means a scan interval held two zeros and raises
-    :class:`ClusterError`.  ``jobs`` > 1 splits the scan across processes;
-    the merged result does not depend on the worker count.
+    within 1e-11 of the true zeros.  Their number must equal the exact count
+    N(t_max), else a scan interval held two zeros: :class:`ClusterError`.
+    A t_max within rounding of an ordinate raises :class:`ProximityError`.
+    ``jobs`` > 1 splits the scan across processes; the merged result does
+    not depend on the worker count.
     """
     if not (t_max > 14):
         raise DomainError(f"t_max must exceed 14, got {t_max!r}")
@@ -259,6 +287,7 @@ def find_zeros(t_max: float, *, jobs: int = 1) -> ZeroList:
     if jobs < 1 or jobs != int(jobs):
         raise DomainError(f"jobs must be a positive integer, got {jobs!r}")
     jobs = int(jobs)
+    expected = _zero_count(t_max)
 
     n = int(math.ceil((t_max - 10.0) / _SCAN_STEP))
     ts = np.minimum(10.0 + _SCAN_STEP * np.arange(n + 1), t_max)
@@ -273,21 +302,9 @@ def find_zeros(t_max: float, *, jobs: int = 1) -> ZeroList:
         roots = sorted(r for part in parts for r in part)
 
     roots = [r for r in roots if r < t_max]
-    out = ZeroList(np.asarray(roots, dtype=float), t_max=t_max)
-
-    r = t_max - 0.02
-    while len(out) and float(np.min(np.abs(out.ordinates - r))) < 0.02:
-        r -= 0.05
-    expected = int(np.sum(out.ordinates < r))
-    # Sample finely enough that the phase moves well under pi/2 per arc
-    # even if the scan missed a pair; aliasing would hide full turns.
-    samples = max(256, 24 * expected + 64)
-    got = count_zeros_contour(_xi_z_phase, r, min_samples=samples)
-    if got != expected:
-        raise ClusterError(
-            f"scan found {expected} zeros below {r:g} but the contour count is {got}"
-        )
-    return out
+    if len(roots) != expected:
+        raise ClusterError(f"scan found {len(roots)} zeros below {t_max:g}, N(t_max) = {expected}")
+    return ZeroList(np.asarray(roots, dtype=float), t_max=t_max)
 
 
 class ResidualSample(NamedTuple):
@@ -387,12 +404,26 @@ class OmegaStats:
         return int(np.sum(np.diff(np.sign(om)) != 0))
 
 
+#: Most grid intervals omega_stats and the CLI's report accept: ten times the
+#: largest grid in use (about 99k rows for t_max 1000 at step 0.01).
+_MAX_GRID_ROWS = 1_000_000
+
+
+def _check_grid(span: float, step: float) -> None:
+    """Refuse a grid of more than _MAX_GRID_ROWS steps over span, before it is built."""
+    if span / step > _MAX_GRID_ROWS:
+        raise DomainError(
+            f"grid step {step!r} over {span:g} makes more than {_MAX_GRID_ROWS:,} rows"
+        )
+
+
 def omega_stats(zeros: ZeroList, grid_step: float = 0.1) -> OmegaStats:
     """Omega on a grid over [a, zeros.t_max] with its running mean."""
     if not (0 < grid_step <= 0.1):
         raise DomainError(f"grid_step must lie in (0, 0.1], got {grid_step!r}")
     if not len(zeros):
         raise DomainError("omega_stats needs a nonempty zero list")
+    _check_grid(zeros.t_max - A_ROOT, grid_step)
     n = int(math.floor((zeros.t_max - A_ROOT) / grid_step))
     ks = A_ROOT + grid_step * np.arange(n + 1)
     if ks[-1] < zeros.t_max - 1e-9:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
 import time
 
 import pytest
 from hypothesis import settings
 
+from zetaprod.specfun import _log_xi_terms
 from zetaprod.zerodist import ZeroList, find_zeros
 
 # Property tests draw the same examples on every run and write no example
@@ -35,6 +37,17 @@ def acceptance_log(request):
 @pytest.fixture(scope="session")
 def literature_zeros() -> ZeroList:
     return ZeroList.bundled()
+
+
+@pytest.fixture(scope="session")
+def xi_phase():
+    """Unit-modulus handle with the phase of xi_z, for contour counts.
+
+    xi_z itself spans more than 9 decades on arcs of radius 30 and beyond,
+    so count_zeros_contour's proximity test stops it there; this handle
+    keeps only the phase, from the log form, which does not underflow.
+    """
+    return lambda z: cmath.exp(1j * _log_xi_terms(complex(z) + 0.5).imag)
 
 
 @pytest.fixture(scope="session")

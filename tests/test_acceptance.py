@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from zetaprod.specfun import (
-    _xi_z_phase,
     ln_zeta_bound_check,
     log_xi_asymptotic,
     log_xi_z,
@@ -101,11 +100,11 @@ def test_criterion4_cosh_reconstruction(acceptance_log):
     assert ok
 
 
-def test_criterion5_zero_finding(acceptance_log, scan100):
+def test_criterion5_zero_finding(acceptance_log, scan100, xi_phase):
     zeros, scan_dt = scan100
     t0 = time.monotonic()
-    contour50 = count_zeros_contour(_xi_z_phase, 50.0, min_samples=1024)
-    contour100 = count_zeros_contour(_xi_z_phase, 100.0, min_samples=1024)
+    contour50 = count_zeros_contour(xi_phase, 50.0, min_samples=1024)
+    contour100 = count_zeros_contour(xi_phase, 100.0, min_samples=1024)
     dt = scan_dt + time.monotonic() - t0
     first = float(zeros.ordinates[0])
     below50 = zeros.count_below(50.0)

@@ -91,6 +91,14 @@ def test_verify_table_bad_rows(capsys):
     ("xi-eval", "--z", "abc"),
     ("xi-eval", "--z", "1,2,3"),
     ("verify-table", "--rows", "1,x"),
+    # a number that is not finite is malformed too
+    ("xi-eval", "--z", "nan"),
+    ("xi-eval", "--z", "inf"),
+    ("cosh-demo", "--z", "1,nan"),
+    ("residual", "--z", "nan", "--t-max", "100"),
+    ("count", "--t-max", "nan"),
+    ("omega", "--t-max", "100", "--step", "inf"),
+    ("count", "--t-max", "50", "--tol", "count=nan"),
 ])
 def test_malformed_list_says_what_was_expected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -165,6 +173,19 @@ def test_insufficient_zero_file(capsys, bundled_file):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("content,where", [
+    (b"# t_max=50\n14.134725\nroot:x:0:0\n", "line 3: expected a number, got 'root:x:0:0'"),
+    (b"14.134725\nnan\n", "line 2"),
+    (b"\xff\xfe14.134725\n", "not UTF-8"),
+], ids=["text", "nan", "binary"])
+def test_malformed_zero_file(capsys, tmp_path, content, where):
+    path = tmp_path / "zeros.txt"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "count", "--t-max", "50", "--zero-file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: zero file") and where in err
+
+
 # ---------------------------------------------------------- CSV output
 
 
@@ -199,6 +220,15 @@ def test_omega_csv(capsys, bundled_file):
     assert code == 0
     assert lines[0] == "k,omega,running_mean"
     assert len(lines) > 800
+
+
+@pytest.mark.parametrize("subcommand", ["omega", "report"])
+def test_grid_too_fine_is_refused(capsys, bundled_file, subcommand):
+    # 1e11 rows: refused from the row count alone, before any array is built
+    code, out, err = run(capsys, subcommand, "--t-max", "100", "--step", "1e-9",
+                         "--zero-file", str(bundled_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: grid step") and "1,000,000 rows" in err
 
 
 def test_report_csv(capsys, bundled_file):

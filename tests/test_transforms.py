@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from zetaprod.errors import ConvergenceError, DomainError, ProximityError, SingularityError
-from zetaprod.specfun import _xi_z_phase, xi_z
+from zetaprod.specfun import xi_z
 from zetaprod.transforms import (
     ROW_VERIFICATION_PAIRS,
     TRUNCATED_ROWS,
@@ -257,9 +257,9 @@ def test_contour_counts_xi_zeros():
     assert count_zeros_contour(xi_z, 20.0) == 1
 
 
-def test_contour_phase_handle_larger_radius():
-    assert count_zeros_contour(_xi_z_phase, 30.0, min_samples=512) == 3
-    assert count_zeros_contour(_xi_z_phase, 40.0, min_samples=512) == 6
+def test_contour_phase_handle_larger_radius(xi_phase):
+    assert count_zeros_contour(xi_phase, 30.0, min_samples=512) == 3
+    assert count_zeros_contour(xi_phase, 40.0, min_samples=512) == 6
 
 
 def test_contour_through_a_zero_raises_proximity():

@@ -15,6 +15,7 @@ from zetaprod.errors import (
     ConvergenceError,
     DomainError,
     InsufficientZerosError,
+    ProximityError,
     RangeError,
 )
 from zetaprod.specfun import log_xi_asymptotic
@@ -33,13 +34,6 @@ from zetaprod.zerodist import (
     t5,
     t5_constant,
 )
-
-# first ten ordinates, literature values to six decimals
-FIRST_TEN = [
-    14.134725, 21.022040, 25.010858, 30.424876, 32.935062,
-    37.586178, 40.918719, 43.327073, 48.005151, 49.773832,
-]
-
 
 # ------------------------------------------------------- smooth curve
 
@@ -161,8 +155,8 @@ def test_find_zeros_matches_reference_to_1000():
 
 def test_find_zeros_evaluation_counts(monkeypatch):
     # deterministic cost gate: xi evaluations on the line (sign scan plus
-    # refinement) and on the contour for find_zeros(100)
-    calls = {"line": 0, "contour": 0}
+    # refinement) and zeta samples of the zero count N(t_max) for find_zeros(100)
+    calls = {"line": 0, "count": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -171,29 +165,49 @@ def test_find_zeros_evaluation_counts(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(zerodist, "_log_xi_terms", counted("line", zerodist._log_xi_terms))
-    monkeypatch.setattr(zerodist, "_xi_z_phase", counted("contour", zerodist._xi_z_phase))
+    monkeypatch.setattr(zerodist, "zeta", counted("count", zerodist.zeta))
     assert len(find_zeros(100.0)) == 29
     assert calls["line"] <= 522
-    assert calls["contour"] <= 191
+    assert calls["count"] <= 17
 
 
 def test_find_zeros_cluster_error(monkeypatch):
     # at a step of 0.5 the pair 750.6560, 750.9664 shares a scan interval;
-    # the scan misses both and the contour count must catch it
+    # the scan misses both and the zero count N(t_max) must catch it
     monkeypatch.setattr(zerodist, "_SCAN_STEP", 0.5)
     with pytest.raises(ClusterError):
         find_zeros(760.0)
 
 
-def test_find_zeros_moves_contour_off_a_zero(monkeypatch):
-    # t_max - 0.02 = 14.14 lies within 0.02 of the first zero, 14.1347
-    radii = []
-    original = zerodist.count_zeros_contour
-    monkeypatch.setattr(zerodist, "count_zeros_contour",
-                        lambda f, r, **kw: radii.append(r) or original(f, r, **kw))
+def test_find_zeros_count_mismatch_is_a_cluster_error(monkeypatch):
+    original = zerodist._zero_count
+    monkeypatch.setattr(zerodist, "_zero_count", lambda t: original(t) + 2)
+    with pytest.raises(ClusterError):
+        find_zeros(100.0)
+
+
+def test_find_zeros_t_max_on_a_zero():
+    # N(t) is undefined at an ordinate: the count refuses a t_max within
+    # rounding of the first zero, and takes one 0.025 above it
+    with pytest.raises(ProximityError):
+        find_zeros(14.134725141734695)
     assert len(find_zeros(14.16)) == 1
-    assert radii == [pytest.approx(14.09)]
-    assert abs(radii[0] - FIRST_TEN[0]) >= 0.02
+
+
+def test_zero_count_matches_reference():
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "zeros_t1000.txt"
+    reference = ZeroList.read(path)
+    heights = np.random.default_rng(20091).uniform(14.0, 1000.0, 400)
+    for t in heights:
+        assert zerodist._zero_count(float(t)) == reference.count_below(float(t)), t
+    assert zerodist._zero_count(1000.0) == 649
+
+
+def test_theta_against_mpmath():
+    heights = np.random.default_rng(7).uniform(0.5, 1000.0, 200)
+    worst = max(abs(zerodist._theta(float(t)) - float(mp.siegeltheta(float(t))))
+                for t in heights)
+    assert worst <= 1e-11
 
 
 def test_find_zeros_domain():
@@ -250,6 +264,8 @@ def test_omega_stats_domain(literature_zeros):
     empty = ZeroList(np.array([]), t_max=20.0)
     with pytest.raises(DomainError):
         omega_stats(empty)
+    with pytest.raises(DomainError, match="rows"):
+        omega_stats(literature_zeros, grid_step=1e-9)  # refused before allocating
 
 
 def test_predictor_deviations(literature_zeros):
