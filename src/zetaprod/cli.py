@@ -293,7 +293,7 @@ def _cmd_report(args: argparse.Namespace, write: Write) -> list[str]:
 def _add_zero_source(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--zero-file", type=Path, default=None,
                     help=f"read ordinates from this file (default: ${ZERO_FILE_ENV}, else compute)")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for the zero scan")
+    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for root refinement")
 
 
 def _add_common(sp: argparse.ArgumentParser, handler, out_help: str,
@@ -336,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("find-zeros", help="scan for zero ordinates and emit a zero file")
     sp.add_argument("--t-max", type=_finite, required=True, dest="t_max")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for root refinement")
     _add_common(sp, _cmd_find_zeros, "write the zero file here (default: print to stdout)")
 
     sp = sub.add_parser("count", help="actual zero count vs the counting formula")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ LN_2PI = math.log(2.0 * math.pi)
 
 #: Largest |Im s| accepted by :func:`zeta` and the xi evaluators.
 IM_MAX = 1000.0
+
+#: Largest log |xi| that xi_s returns as a finite double.
+_LOG_MAX = math.log(sys.float_info.max)
 
 # B_2 .. B_30
 _BERNOULLI = (
@@ -50,6 +54,14 @@ _STIELTJES = (
     0.002053834420303346,
     0.0023253700654673,
 )
+
+
+def _finite(x: complex, name: str) -> complex:
+    """x as a complex, once it is finite in both parts."""
+    x = complex(x)
+    if not cmath.isfinite(x):
+        raise DomainError(f"{name} requires a finite argument, got {x!r}")
+    return x
 
 
 def _log1p_c(x: complex) -> complex:
@@ -114,7 +126,7 @@ def zeta(s: complex) -> complex:
     strip.  Raises :class:`PoleError` at s = 1 and :class:`RangeError`
     beyond the supported imaginary range.
     """
-    s = complex(s)
+    s = _finite(s, "zeta")
     if abs(s.imag) > IM_MAX:
         raise RangeError(f"zeta supported for |Im s| <= {IM_MAX:g}, got {s.imag:g}")
     if s == 1:
@@ -162,7 +174,7 @@ def log_gamma(a: complex) -> complex:
     The error is within about 1e-14 (1 + |log_gamma(a)|); the imaginary part
     is the analytic continuation from the real axis, not reduced mod 2 pi.
     """
-    a = complex(a)
+    a = _finite(a, "log_gamma")
     if a.real <= 0.0:
         raise DomainError("log_gamma requires re(a) > 0")
     return _log_gamma_any(a)
@@ -175,7 +187,7 @@ def stirling_w(a: complex) -> complex:
     absolute accuracy of log_gamma.  On the positive real axis w is negative
     and behaves like -1/(12a).
     """
-    a = complex(a)
+    a = _finite(a, "stirling_w")
     if a.real <= 0.0:
         raise DomainError("stirling_w requires re(a) > 0")
     return (a - 0.5) * cmath.log(a) - a + 0.5 * LN_2PI - _log_gamma_any(a)
@@ -188,14 +200,21 @@ def xi_s(s: complex) -> complex:
     Arguments with re(s) < 1/2 are reflected before evaluation and values on
     the critical line are returned real, so the symmetry holds exactly.
     Underflows to 0 above about |Im s| = 910 on the line; log_xi_z does not.
+    Raises :class:`RangeError` where |xi| exceeds the largest double (real
+    s beyond about 433).
     """
-    s = complex(s)
+    s = _finite(s, "xi_s")
     if abs(s.imag) > IM_MAX:
         raise RangeError(f"xi_s supported for |Im s| <= {IM_MAX:g}")
     w = s if s.real >= 0.5 else 1 - s
     if w == 1:
         return 0.5 + 0j  # gamma(3/2) pi^(-1/2) * 1, which rounding would miss
-    val = cmath.exp(_log_gamma_any(w / 2 + 1) - (w / 2) * LN_PI) * _s1_zeta(w)
+    log_head = _log_gamma_any(w / 2 + 1) - (w / 2) * LN_PI
+    # beyond _LOG_MAX here re(s) is above 400, where (s - 1) zeta(s) is
+    # about s - 1 and only adds to |xi|
+    val = cmath.exp(log_head) * _s1_zeta(w) if log_head.real <= _LOG_MAX else math.inf
+    if cmath.isinf(val):
+        raise RangeError(f"|xi| exceeds the largest double at s = {s:g}")
     return complex(val.real) if w.real == 0.5 else val
 
 
@@ -229,7 +248,7 @@ def log_xi_z(z: complex) -> complex:
     inherited from :func:`log_gamma`, which is what the asymptotic
     expansion matches against.
     """
-    z = complex(z)
+    z = _finite(z, "log_xi_z")
     if z.real <= 0.5:
         raise DomainError("log_xi_z requires re(z) > 1/2")
     return (

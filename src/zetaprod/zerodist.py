@@ -1,11 +1,12 @@
 """Zeros of xi on the critical line and the smooth counting model.
 
 The ordinates k_l with xi_z(i k_l) = 0 are found by a sign scan of the
-real-valued restriction of xi to the line, checked by the exact count
-N(t_max).  The smooth side is the curve phi(k) = (k/2pi) ln(k/2pi) - k/2pi
-+ 7/8, its root a, and the term bundles T4 and T5 that the transform of
-the smooth density produces; the residual operation measures what is left
-of the exact zero product after T5 is taken out.
+real-valued restriction of xi to the line, on the grid where the smooth
+curve crosses whole numbers, closed by the exact count N(t_max).  The
+smooth side is the curve phi(k) = (k/2pi) ln(k/2pi) - k/2pi + 7/8, its
+root a, and the term bundles T4 and T5 that the transform of the smooth
+density produces; the residual operation measures what is left of the
+exact zero product after T5 is taken out.
 """
 
 from __future__ import annotations
@@ -241,17 +242,53 @@ def _bisect_sign_change(lo: float, g_lo: float, hi: float, g_hi: float) -> float
     return _secant(lo, g_lo, hi, g_hi, 0.0)
 
 
-def _chunk_roots(ts: np.ndarray) -> list[float]:
-    vals = np.fromiter((_line_value(t) for t in ts), dtype=float, count=len(ts))
-    flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
-    return [_bisect_sign_change(float(ts[i]), float(vals[i]),
-                                float(ts[i + 1]), float(vals[i + 1]))
-            for i in flips]
+def _line_values(ts: np.ndarray) -> np.ndarray:
+    """_line_value at each t of ts."""
+    return np.fromiter(map(_line_value, ts.tolist()), dtype=float, count=len(ts))
 
 
-# Sign-scan step.  The closest pair of zeros below t = 1000 is 0.3104 apart
-# (750.6560 and 750.9664), so no scan interval can hold two of them.
-_SCAN_STEP = 0.25
+def _refine_brackets(brackets: np.ndarray) -> list[float]:
+    """The root in each row (lo, g_lo, hi, g_hi) of brackets, in row order."""
+    return [_bisect_sign_change(*row) for row in brackets.tolist()]
+
+
+#: Narrowest scan interval the sign scan halves.  The grid intervals are
+#: about 1.2 wide or more, and every t_max tried up to 1000 closes within
+#: three rounds of halving, so an interval this narrow that still has to be
+#: halved means the count N(t_max) cannot be closed.
+_MIN_WIDTH = 1e-3
+
+
+def _sign_scan(t_max: float, expected: int) -> np.ndarray:
+    """Brackets (lo, g_lo, hi, g_hi) of the sign changes of _line_value on
+    [10, t_max], once they number ``expected``: one per zero below t_max.
+
+    The grid is 10, every k_n = _phi_inverse(n) with n < phi(t_max) - 1/2,
+    and t_max: the paper's curve crosses n at k_n, about once per zero.
+    While the sign changes fall short, every interval without one is halved,
+    with its two neighbours (a Gram block; Rosser, Yohe and Schoenfeld 1969).
+    """
+    # phi(10) = 0.023, so k_1 = 17.85 is the first level above 10.  The last
+    # interval spans at least half a level: one that started barely above
+    # the width floor would reach it in a round or two of halving.
+    ks = _phi_inverse(np.arange(1.0, phi_smooth(t_max) - 0.5))
+    ts = np.concatenate(([10.0], ks, [t_max]))
+    vals = _line_values(ts)
+    while True:
+        change = np.sign(vals[:-1]) != np.sign(vals[1:])
+        found = int(np.count_nonzero(change))
+        if found == expected:
+            i = np.flatnonzero(change)
+            return np.column_stack((ts[i], vals[i], ts[i + 1], vals[i + 1]))
+        halve = ~change
+        halve[1:] |= ~change[:-1]
+        halve[:-1] |= ~change[1:]
+        i = np.flatnonzero(halve)
+        if found > expected or not len(i) or np.min(ts[i + 1] - ts[i]) < _MIN_WIDTH:
+            raise ClusterError(f"scan found {found} zeros below {t_max:g}, N(t_max) = {expected}, "
+                               f"with intervals halved down to {_MIN_WIDTH:g} wide")
+        mids = 0.5 * (ts[i] + ts[i + 1])
+        ts, vals = np.insert(ts, i + 1, mids), np.insert(vals, i + 1, _line_values(mids))
 
 
 def _theta(t: float) -> float:
@@ -270,15 +307,17 @@ def _zero_count(t: float) -> int:
 
 
 def find_zeros(t_max: float, *, jobs: int = 1) -> ZeroList:
-    """Scan [10, t_max] for sign changes of xi on the critical line.
+    """Zeros of xi on the critical line in [10, t_max], complete and simple.
 
-    Each change is refined by Illinois false position on the rescaled real
-    xi until its bracket is at most 1e-9 wide; the returned ordinates lie
-    within 1e-11 of the true zeros.  Their number must equal the exact count
-    N(t_max), else a scan interval held two zeros: :class:`ClusterError`.
-    A t_max within rounding of an ordinate raises :class:`ProximityError`.
-    ``jobs`` > 1 splits the scan across processes; the merged result does
-    not depend on the worker count.
+    A sign scan on the paper's integer-level grid (see :func:`_sign_scan`)
+    is closed against the exact count N(t_max), halving Gram blocks where
+    it falls short; an interval that would need halving below
+    ``_MIN_WIDTH`` raises :class:`ClusterError`.  Each sign change is then
+    refined by Illinois false position on the rescaled real xi until its
+    bracket is at most 1e-9 wide; the returned ordinates lie within 1e-11
+    of the true zeros.  A t_max within rounding of an ordinate raises
+    :class:`ProximityError`.  ``jobs`` > 1 splits the refinement across
+    processes; the result does not depend on the worker count.
     """
     if not (t_max > 14):
         raise DomainError(f"t_max must exceed 14, got {t_max!r}")
@@ -287,23 +326,14 @@ def find_zeros(t_max: float, *, jobs: int = 1) -> ZeroList:
     if jobs < 1 or jobs != int(jobs):
         raise DomainError(f"jobs must be a positive integer, got {jobs!r}")
     jobs = int(jobs)
-    expected = _zero_count(t_max)
+    brackets = _sign_scan(t_max, _zero_count(t_max))
 
-    n = int(math.ceil((t_max - 10.0) / _SCAN_STEP))
-    ts = np.minimum(10.0 + _SCAN_STEP * np.arange(n + 1), t_max)
-
-    if jobs == 1 or n < 4 * jobs:
-        roots = _chunk_roots(ts)
+    if jobs == 1 or len(brackets) < 4 * jobs:
+        roots = _refine_brackets(brackets)
     else:
-        bounds = np.linspace(0, len(ts) - 1, jobs + 1).astype(int)
-        chunks = [ts[bounds[i]: bounds[i + 1] + 1] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_chunk_roots, chunks))
-        roots = sorted(r for part in parts for r in part)
-
-    roots = [r for r in roots if r < t_max]
-    if len(roots) != expected:
-        raise ClusterError(f"scan found {len(roots)} zeros below {t_max:g}, N(t_max) = {expected}")
+            parts = pool.map(_refine_brackets, np.array_split(brackets, jobs))
+            roots = [r for part in parts for r in part]
     return ZeroList(np.asarray(roots, dtype=float), t_max=t_max)
 
 

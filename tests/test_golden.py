@@ -40,7 +40,7 @@ CASES = (
      "ce9dcf9a37a5420a79a0f4b512cdefbfb5b8045fca6d1afec7bcb1867d409f36"),
     (("find-zeros", "--t-max", "30", "--jobs", "2"), 0,
      "ce9dcf9a37a5420a79a0f4b512cdefbfb5b8045fca6d1afec7bcb1867d409f36"),
-    # the scan step is fixed, so asking for one is a usage error
+    # the scan grid is fixed, so asking for a step is a usage error
     (("find-zeros", "--t-max", "30", "--step", "0.1"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # find-zeros checks nothing, so it takes no tolerance
@@ -92,6 +92,11 @@ CASES = (
     # xi underflows here, its log form does not: ln_xi=-764.85797+0.86281j
     (("xi-eval", "--z", "0.2,990"), 0,
      "d2c65ad2d2b1206d226ddcf7f9fb6edf20a742c1d49784eac172778f34c2ec0f"),
+    # xi overflows a double above z = 432.59 on the real axis: an error line, no traceback
+    (("xi-eval", "--z", "1000"), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("xi-eval", "--z", "1e300"), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # each subcommand takes only the tolerances it checks: none for these two
     (("xi-eval", "--z", "0", "--tol", "cosh=1"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

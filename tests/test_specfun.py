@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -259,6 +261,39 @@ def test_xi_real_on_imaginary_axis():
 def test_xi_range():
     with pytest.raises(RangeError):
         xi_s(0.5 + 1200j)
+
+
+def test_xi_refuses_overflow():
+    # xi is finite exactly where its log form is below log(largest double):
+    # on the real axis up to z = 432.59
+    log_max = math.log(sys.float_info.max)
+    for x in np.arange(400.0, 461.0):
+        for z in (x, x + 30j, -x):
+            if _log_xi_terms(complex(z) + 0.5).real > log_max:
+                with pytest.raises(RangeError, match="largest double"):
+                    xi_z(z)
+            else:
+                assert cmath.isfinite(xi_z(z))
+    assert xi_z(432.0).real > 1e307
+    for z in (1000.0, 1e300, -1e300):
+        with pytest.raises(RangeError):
+            xi_z(z)
+        with pytest.raises(RangeError):
+            xi_s(z + 0.5)
+
+
+NON_FINITE = (complex(math.nan, 0.0), complex(math.inf, 1.0), complex(-math.inf, 1.0),
+              complex(1.0, math.inf), complex(1.0, -math.inf))
+
+
+@pytest.mark.parametrize("x", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("fn", [zeta, xi_s, xi_z, log_gamma, stirling_w, log_xi_z],
+                         ids=lambda fn: fn.__name__)
+def test_non_finite_argument_refused(fn, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy RuntimeWarning on the way
+        with pytest.raises(DomainError, match="finite"):
+            fn(x)
 
 
 # --------------------------------------------------------- log xi_z

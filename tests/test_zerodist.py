@@ -131,31 +131,12 @@ def test_find_zeros_matches_literature(scan100, literature_zeros):
     )
 
 
-def test_find_zeros_jobs_equivalent(scan100):
-    zeros, _ = scan100
-    parallel = find_zeros(100.0, jobs=3)
-    np.testing.assert_array_equal(parallel.ordinates, zeros.ordinates)
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "data" / "zeros_t1000.txt"
 
 
-def test_scan_step_below_closest_zero_gap():
-    # one scan interval must never hold two zeros anywhere below t = 1000
-    reference = Path(__file__).resolve().parents[1] / "bench" / "data" / "zeros_t1000.txt"
-    ordinates = ZeroList.read(reference).ordinates
-    assert len(ordinates) == 649
-    assert zerodist._SCAN_STEP < float(np.min(np.diff(ordinates)))
-
-
-def test_find_zeros_matches_reference_to_1000():
-    reference = Path(__file__).resolve().parents[1] / "bench" / "data" / "zeros_t1000.txt"
-    expected = ZeroList.read(reference).ordinates
-    zeros = find_zeros(1000.0)
-    assert len(zeros) == len(expected) == 649
-    assert float(np.max(np.abs(zeros.ordinates - expected))) <= 1e-11
-
-
-def test_find_zeros_evaluation_counts(monkeypatch):
-    # deterministic cost gate: xi evaluations on the line (sign scan plus
-    # refinement) and zeta samples of the zero count N(t_max) for find_zeros(100)
+def _count_evaluations(monkeypatch) -> dict[str, int]:
+    """Count xi evaluations on the line (scan plus refinement) and zeta
+    samples of the zero count N(t_max) that find_zeros makes from here on."""
     calls = {"line": 0, "count": 0}
 
     def counted(name, fn):
@@ -166,17 +147,55 @@ def test_find_zeros_evaluation_counts(monkeypatch):
 
     monkeypatch.setattr(zerodist, "_log_xi_terms", counted("line", zerodist._log_xi_terms))
     monkeypatch.setattr(zerodist, "zeta", counted("count", zerodist.zeta))
+    return calls
+
+
+def test_find_zeros_jobs_equivalent():
+    # 300 needs two rounds of halving before the scan closes; the workers
+    # refine the closed brackets only, so the split cannot change the result
+    serial = find_zeros(300.0)
+    parallel = find_zeros(300.0, jobs=3)
+    assert len(serial) == 138
+    np.testing.assert_array_equal(parallel.ordinates, serial.ordinates)
+
+
+def test_find_zeros_matches_reference_to_1000(monkeypatch):
+    expected = ZeroList.read(REFERENCE).ordinates
+    calls = _count_evaluations(monkeypatch)
+    zeros = find_zeros(1000.0)
+    assert len(zeros) == len(expected) == 649
+    assert float(np.max(np.abs(zeros.ordinates - expected))) <= 1e-11
+    assert calls["line"] <= 5609
+
+
+def test_find_zeros_matches_reference_at_seeded_heights():
+    # 334.65, 482.03, 825.87 and 990.25 need two rounds of halving to close
+    # the scan; 21.27, 54.97, 94.11 and 231.34 close on the grid itself.
+    # 323 lies 2.6e-4 above k_152, where phi = 152: a grid that kept that
+    # level would start with a last interval below the width floor.
+    reference = ZeroList.read(REFERENCE).ordinates
+    for t_max in [*np.random.default_rng(1969).uniform(14.5, 1000.0, 8), 323.0]:
+        zeros = find_zeros(float(t_max))
+        expected = reference[reference < t_max]
+        assert len(zeros) == len(expected), t_max
+        assert float(np.max(np.abs(zeros.ordinates - expected))) <= 1e-11, t_max
+
+
+def test_find_zeros_evaluation_counts(monkeypatch):
+    # deterministic cost gate for find_zeros(100): 30 grid points and 213
+    # refinement steps for 29 zeros on the line, 17 samples for N(t_max)
+    calls = _count_evaluations(monkeypatch)
     assert len(find_zeros(100.0)) == 29
-    assert calls["line"] <= 522
+    assert calls["line"] <= 243
     assert calls["count"] <= 17
 
 
 def test_find_zeros_cluster_error(monkeypatch):
-    # at a step of 0.5 the pair 750.6560, 750.9664 shares a scan interval;
-    # the scan misses both and the zero count N(t_max) must catch it
-    monkeypatch.setattr(zerodist, "_SCAN_STEP", 0.5)
-    with pytest.raises(ClusterError):
-        find_zeros(760.0)
+    # below 500 the grid alone falls short of N(t_max); with a width floor
+    # above the grid spacing (about 1.4 there) the first halving is refused
+    monkeypatch.setattr(zerodist, "_MIN_WIDTH", 2.0)
+    with pytest.raises(ClusterError, match="halved down to"):
+        find_zeros(500.0)
 
 
 def test_find_zeros_count_mismatch_is_a_cluster_error(monkeypatch):
@@ -195,8 +214,7 @@ def test_find_zeros_t_max_on_a_zero():
 
 
 def test_zero_count_matches_reference():
-    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "zeros_t1000.txt"
-    reference = ZeroList.read(path)
+    reference = ZeroList.read(REFERENCE)
     heights = np.random.default_rng(20091).uniform(14.0, 1000.0, 400)
     for t in heights:
         assert zerodist._zero_count(float(t)) == reference.count_below(float(t)), t
