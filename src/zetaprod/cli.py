@@ -136,7 +136,7 @@ def _resolve_zeros(args: argparse.Namespace, needed_t: float) -> ZeroList:
         if zeros.t_max > needed_t:
             zeros = ZeroList(zeros.ordinates[zeros.ordinates < needed_t], t_max=needed_t)
         return zeros
-    return find_zeros(needed_t, jobs=args.jobs)
+    return find_zeros(needed_t)
 
 
 def _cmd_xi_eval(args: argparse.Namespace, write: Write) -> list[str]:
@@ -163,7 +163,7 @@ def _cmd_xi_eval(args: argparse.Namespace, write: Write) -> list[str]:
         terms = log_xi_asymptotic(z)
         dev = abs(ln - terms.main_sum())
         parts += [f"asym_dev={dev:.3e}", f"asym_bound={terms.remainder_bound:.3e}"]
-        if dev > terms.remainder_bound:
+        if not (dev <= terms.remainder_bound):
             failures.append(f"asymptotic deviation {dev:.3e} exceeds {terms.remainder_bound:.3e}")
     write(" ".join(parts) + "\n")
     return failures
@@ -194,13 +194,13 @@ def _cmd_cosh_demo(args: argparse.Namespace, write: Write) -> list[str]:
         f"reconstructed={_gc(res.reconstructed)} exact={_gc(res.exact)} "
         f"abs_diff={diff:.3e} terms={args.fourier_terms}\n"
     )
-    if diff > args.tol["cosh"]:
+    if not (diff <= args.tol["cosh"]):
         return [f"|reconstructed - exact| = {diff:.3e} > {args.tol['cosh']:.3e}"]
     return []
 
 
 def _cmd_find_zeros(args: argparse.Namespace, write: Write) -> list[str]:
-    zeros = find_zeros(args.t_max, jobs=args.jobs)
+    zeros = find_zeros(args.t_max)
     write(zeros.to_text())
     if args.output_path is not None:
         print(f"wrote {len(zeros)} zeros to {args.output_path}")
@@ -213,7 +213,7 @@ def _cmd_count(args: argparse.Namespace, write: Write) -> list[str]:
     formula = n_of_t(args.t_max)
     diff = actual - formula
     write(f"actual={actual} formula={_g(formula)} diff={_g(diff)}\n")
-    if abs(diff) >= args.tol["count"]:
+    if not (abs(diff) < args.tol["count"]):
         return [f"|actual - formula| = {abs(diff):.3g} >= {args.tol['count']:g}"]
     return []
 
@@ -232,9 +232,9 @@ def _cmd_predict(args: argparse.Namespace, write: Write) -> list[str]:
     failures: list[str] = []
     mean_dev = float(np.mean(np.abs(devs)))
     max_dev = float(np.max(np.abs(devs)))
-    if mean_dev > args.tol["predict-mean"]:
+    if not (mean_dev <= args.tol["predict-mean"]):
         failures.append(f"mean |deviation| = {mean_dev:.3g} > {args.tol['predict-mean']:g}")
-    if max_dev > args.tol["predict-max"]:
+    if not (max_dev <= args.tol["predict-max"]):
         failures.append(f"max |deviation| = {max_dev:.3g} > {args.tol['predict-max']:g}")
     return failures
 
@@ -250,7 +250,7 @@ def _cmd_residual(args: argparse.Namespace, write: Write) -> list[str]:
     for z in args.z_samples:
         [(_, value, estimate)] = residual_report((z,), zeros).samples
         write(f"{_g(z)},{_g(value)},{_g(estimate)}\n")
-        if abs(value - constant) > args.tol["residual"]:
+        if not (abs(value - constant) <= args.tol["residual"]):
             failures.append(
                 f"residual at z={_g(z)} is {_g(value)}, outside "
                 f"{_g(constant)} +- {args.tol['residual']:.3g}"
@@ -263,7 +263,7 @@ def _cmd_omega(args: argparse.Namespace, write: Write) -> list[str]:
     stats = omega_stats(zeros, grid_step=args.grid_step)
     write("k,omega,running_mean\n")
     _write_rows(write, "%.10g,%.10g,%.10g\n", *stats.grid.T, stats.running_mean[:, 1])
-    if abs(stats.final_mean) > args.tol["omega-mean"]:
+    if not (abs(stats.final_mean) <= args.tol["omega-mean"]):
         return [f"|running mean| at t_max = {abs(stats.final_mean):.3g} "
                 f"> {args.tol['omega-mean']:g}"]
     return []
@@ -290,10 +290,14 @@ def _cmd_report(args: argparse.Namespace, write: Write) -> list[str]:
     return []
 
 
+def _add_jobs(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--jobs", type=int, default=1, help="accepted and ignored; refining is serial")
+
+
 def _add_zero_source(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--zero-file", type=Path, default=None,
                     help=f"read ordinates from this file (default: ${ZERO_FILE_ENV}, else compute)")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for root refinement")
+    _add_jobs(sp)
 
 
 def _add_common(sp: argparse.ArgumentParser, handler, out_help: str,
@@ -336,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("find-zeros", help="scan for zero ordinates and emit a zero file")
     sp.add_argument("--t-max", type=_finite, required=True, dest="t_max")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for root refinement")
+    _add_jobs(sp)
     _add_common(sp, _cmd_find_zeros, "write the zero file here (default: print to stdout)")
 
     sp = sub.add_parser("count", help="actual zero count vs the counting formula")
@@ -393,6 +397,8 @@ def _check_args(args: argparse.Namespace) -> None:
         raise DomainError(f"grid step must be positive, got {args.grid_step!r}")
     if "n_max" in args and args.n_max < 1:
         raise DomainError(f"n must be >= 1, got {args.n_max!r}")
+    if "jobs" in args and args.jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {args.jobs!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

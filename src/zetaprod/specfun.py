@@ -199,9 +199,10 @@ def xi_s(s: complex) -> complex:
     Entire; invariant under s -> 1 - s; equals 1/2 at s = 0 and s = 1.
     Arguments with re(s) < 1/2 are reflected before evaluation and values on
     the critical line are returned real, so the symmetry holds exactly.
-    Underflows to 0 above about |Im s| = 910 on the line; log_xi_z does not.
-    Raises :class:`RangeError` where |xi| exceeds the largest double (real
-    s beyond about 433).
+    Where |xi| < 2.2e-308, the smallest normal double (|Im s| above about
+    919 on the line), it is accurate in absolute terms only, to 1e-319;
+    log_xi_z and _log_xi_terms stay relative.  Raises :class:`RangeError`
+    where |xi| exceeds the largest double (real s beyond about 433).
     """
     s = _finite(s, "xi_s")
     if abs(s.imag) > IM_MAX:
@@ -219,7 +220,7 @@ def xi_s(s: complex) -> complex:
 
 
 def xi_z(z: complex) -> complex:
-    """xi in the shifted variable: xi_z(z) = xi_s(z + 1/2); underflows like xi_s.
+    """xi_z(z) = xi_s(z + 1/2); like xi_s, absolute accuracy only where |xi| < 2.2e-308.
 
     Exactly even (z and -z are both evaluated at the one with re >= 0), real on
     both axes, and zero on the imaginary axis at the zeta zero ordinates.

@@ -398,13 +398,15 @@ def cosh_demo(z: complex, n_terms: int) -> CoshDemoResult:
     """log cosh z from its truncated exponential series vs the closed form.
 
     The reconstruction error is below exp(-2 re(z) (n+1)) / (n+1) plus
-    roundoff.  Requires re(z) > 0.
+    roundoff.  Requires re(z) > 0 and a finite 2 n Im(z).
     """
     z = complex(z)
     if z.real <= 0:
         raise DomainError("cosh_demo requires re(z) > 0")
     if n_terms != int(n_terms) or not (1 <= int(n_terms) <= 10 ** 6):
         raise DomainError(f"n_terms must be an integer in [1, 1e6], got {n_terms!r}")
+    if not math.isfinite(2 * int(n_terms) * z.imag):
+        raise DomainError(f"cosh_demo requires 2 n Im(z) finite, got Im(z) = {z.imag!r}")
     n = np.arange(1, int(n_terms) + 1)
     signs = np.where(n % 2 == 1, 1.0, -1.0)
     series = complex(np.sum(signs * np.exp(-2 * z * n) / n))

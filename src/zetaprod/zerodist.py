@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -36,15 +35,12 @@ from .transforms import count_zeros_contour  # noqa: F401  bench/tracing.py wrap
 
 
 def phi_smooth(k):
-    """(k/2pi) ln(k/2pi) - k/2pi + 7/8 for k > 0; scalar or array."""
-    arr = np.asarray(k, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError("phi_smooth requires k > 0")
-    x = arr / TWO_PI
+    """(k/2pi) ln(k/2pi) - k/2pi + 7/8 for finite k > 0; scalar or array."""
+    x = np.asarray(k, dtype=float) / TWO_PI
+    if not np.all((x > 0) & (x < math.inf)):
+        raise DomainError("phi_smooth requires finite k > 0")
     out = x * np.log(x) - x + 0.875
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _lambert_w0(c):
@@ -247,11 +243,6 @@ def _line_values(ts: np.ndarray) -> np.ndarray:
     return np.fromiter(map(_line_value, ts.tolist()), dtype=float, count=len(ts))
 
 
-def _refine_brackets(brackets: np.ndarray) -> list[float]:
-    """The root in each row (lo, g_lo, hi, g_hi) of brackets, in row order."""
-    return [_bisect_sign_change(*row) for row in brackets.tolist()]
-
-
 #: Narrowest scan interval the sign scan halves.  The grid intervals are
 #: about 1.2 wide or more, and every t_max tried up to 1000 closes within
 #: three rounds of halving, so an interval this narrow that still has to be
@@ -306,7 +297,7 @@ def _zero_count(t: float) -> int:
                             f"N({t:g})")
 
 
-def find_zeros(t_max: float, *, jobs: int = 1) -> ZeroList:
+def find_zeros(t_max: float) -> ZeroList:
     """Zeros of xi on the critical line in [10, t_max], complete and simple.
 
     A sign scan on the paper's integer-level grid (see :func:`_sign_scan`)
@@ -316,24 +307,14 @@ def find_zeros(t_max: float, *, jobs: int = 1) -> ZeroList:
     refined by Illinois false position on the rescaled real xi until its
     bracket is at most 1e-9 wide; the returned ordinates lie within 1e-11
     of the true zeros.  A t_max within rounding of an ordinate raises
-    :class:`ProximityError`.  ``jobs`` > 1 splits the refinement across
-    processes; the result does not depend on the worker count.
+    :class:`ProximityError`.
     """
     if not (t_max > 14):
         raise DomainError(f"t_max must exceed 14, got {t_max!r}")
     if t_max > 1000:
         raise RangeError("find_zeros supports t_max <= 1000")
-    if jobs < 1 or jobs != int(jobs):
-        raise DomainError(f"jobs must be a positive integer, got {jobs!r}")
-    jobs = int(jobs)
     brackets = _sign_scan(t_max, _zero_count(t_max))
-
-    if jobs == 1 or len(brackets) < 4 * jobs:
-        roots = _refine_brackets(brackets)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_refine_brackets, np.array_split(brackets, jobs))
-            roots = [r for part in parts for r in part]
+    roots = [_bisect_sign_change(*row) for row in brackets.tolist()]
     return ZeroList(np.asarray(roots, dtype=float), t_max=t_max)
 
 
@@ -495,12 +476,12 @@ def crossing_count(k_a: float, k_b: float) -> CrossingCount:
     """
     if not (k_a > A_ROOT):
         raise DomainError(f"k_a must exceed the curve root {A_ROOT:g}")
-    if k_b < k_a:
+    if not (k_b >= k_a):
         raise DomainError("k_b must be >= k_a")
     exact = phi_smooth(k_b) - phi_smooth(k_a)
     midpoint = (k_b - k_a) / TWO_PI * math.log((k_a + k_b) / (2 * TWO_PI))
     bound = (k_b - k_a) ** 3 / (8 * PI * k_a * k_a)
-    if abs(exact - midpoint) > bound:
+    if not (abs(exact - midpoint) <= bound):
         raise ConvergenceError(
             f"midpoint shortcut off by {abs(exact - midpoint):g}, "
             f"beyond its bound {bound:g}"

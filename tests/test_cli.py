@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,6 +16,10 @@ from zetaprod import cli, zerodist
 from zetaprod.cli import ZERO_FILE_ENV, main
 from zetaprod.errors import ConvergenceError
 from zetaprod.zerodist import ZeroList, phi_smooth, predict_zeros
+
+
+#: The zero file shipped in the package: every ordinate below 100.
+BUNDLED = str(resources.files("zetaprod").joinpath("data/zeros_t100.txt"))
 
 
 @pytest.fixture(autouse=True)
@@ -124,6 +133,45 @@ def test_cosh_demo_tolerance_failure(capsys):
     assert code == 1
     assert err.startswith("FAIL:")
     assert "abs_diff=" in out  # data still emitted alongside the failure
+
+
+@pytest.mark.parametrize("z", ["0.1,1e308", "1e308,1e308"])
+def test_cosh_demo_refuses_overflowing_imaginary_part(capsys, z):
+    # -2 n z would overflow: cmath.exp raises on an infinite imaginary part,
+    # and the series turns NaN
+    code, out, err = run(capsys, "cosh-demo", "--z", z)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cosh_demo requires 2 n Im(z) finite")
+
+
+# ---------------------------------------------------------------- --jobs
+
+
+def test_jobs_is_accepted_and_ignored(capsys):
+    # the same bytes at a height whose scan needs two rounds of halving
+    code, serial, _ = run(capsys, "find-zeros", "--t-max", "300")
+    assert code == 0 and serial.count("\n") == 140
+    assert run(capsys, "find-zeros", "--t-max", "300", "--jobs", "3") == (0, serial, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("find-zeros", "--t-max", "15"),
+    ("count", "--t-max", "50", "--zero-file", BUNDLED),
+], ids=["find-zeros", "count"])
+def test_jobs_below_one_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv, "--jobs", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: jobs must be >= 1, got 0\n"
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    probe = ("import sys, zetaprod.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=env)
+    assert done.stdout == "[]\n"
 
 
 # --------------------------------------------------- zero-file plumbing
@@ -365,6 +413,58 @@ def test_residual_tolerance_binds(capsys, bundled_file):
     code, _, _ = run(capsys, "residual", "--z", "50", "--t-max", "100",
                      "--zero-file", str(bundled_file), "--tol", "residual=1e-3")
     assert code == 0
+
+
+def _nan_asymptotic(monkeypatch):
+    original = cli.log_xi_asymptotic
+    monkeypatch.setattr(cli, "log_xi_asymptotic",
+                        lambda z: dataclasses.replace(original(z), constant=math.nan))
+
+
+def _nan_cosh(monkeypatch):
+    original = cli.cosh_demo
+    monkeypatch.setattr(cli, "cosh_demo",
+                        lambda z, n: original(z, n)._replace(reconstructed=complex(math.nan)))
+
+
+def _nan_prediction(monkeypatch):
+    original = cli.predict_zeros
+    monkeypatch.setattr(cli, "predict_zeros",
+                        lambda n: np.where(np.arange(n) == 1, math.nan, original(n)))
+
+
+def _nan_running_mean(monkeypatch):
+    original = cli.omega_stats
+
+    def last_mean_nan(*args, **kwargs):
+        stats = original(*args, **kwargs)
+        stats.running_mean[-1, 1] = math.nan
+        return stats
+
+    monkeypatch.setattr(cli, "omega_stats", last_mean_nan)
+
+
+@pytest.mark.parametrize("argv,push_nan,failures", [
+    (("xi-eval", "--z", "12,3"), _nan_asymptotic, ["asymptotic deviation nan"]),
+    (("cosh-demo", "--z", "2"), _nan_cosh, ["|reconstructed - exact| = nan"]),
+    (("count", "--t-max", "50", "--zero-file", BUNDLED),
+     lambda patch: patch.setattr(cli, "n_of_t", lambda t: math.nan),
+     ["|actual - formula| = nan"]),
+    (("predict", "--n", "5", "--zero-file", BUNDLED), _nan_prediction,
+     ["mean |deviation| = nan", "max |deviation| = nan"]),
+    (("residual", "--z", "50", "--t-max", "100", "--zero-file", BUNDLED),
+     lambda patch: patch.setattr(zerodist, "t5", lambda z: complex(math.nan)),
+     ["residual at z=50 is nan"]),
+    (("omega", "--t-max", "50", "--zero-file", BUNDLED), _nan_running_mean,
+     ["|running mean| at t_max = nan"]),
+], ids=["xi-eval", "cosh", "count", "predict", "residual", "omega-mean"])
+def test_nan_fails_every_check(capsys, monkeypatch, argv, push_nan, failures):
+    # NaN compares false both ways: a check written as "fail if x > tol" passes it
+    push_nan(monkeypatch)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("FAIL: ")
+    assert all(failure in err for failure in failures), err
 
 
 def test_predict_checks_source_before_building_arrays(capsys, monkeypatch, bundled_file):

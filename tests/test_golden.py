@@ -3,8 +3,8 @@
 Each case stores the argv, the exit status and the sha256 of stdout.  A
 refactor that claims "same behaviour" must keep all three.  Zero-consuming
 subcommands read the bundled zero file, except one ``count`` that scans for its
-zeros; ``find-zeros`` runs once serially and once with two workers, so output
-that does not depend on ``--jobs`` is under test at the CLI level.
+zeros; ``find-zeros`` runs once without and once with ``--jobs 2``, which it
+accepts and ignores, so the flag keeps working for existing scripts.
 """
 
 from __future__ import annotations

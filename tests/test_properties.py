@@ -1,6 +1,6 @@
 """Property tests: exact symmetries of xi_z, linearity of the step transform,
-the closed-form inverse of the smooth counting curve, and the CLI's block
-CSV writer.
+the closed-form inverse of the smooth counting curve, the CLI's block CSV
+writer, and the CLI's exit statuses over its documented grammar.
 
 Examples are drawn by hypothesis under the derandomized profile that
 ``conftest.py`` loads, so every run checks the same points.
@@ -8,13 +8,17 @@ Examples are drawn by hypothesis under the derandomized profile that
 
 from __future__ import annotations
 
+import contextlib
+import io
+import re
 import struct
+from importlib import resources
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaprod.cli import _BLOCK, _g, _write_rows
+from zetaprod.cli import _BLOCK, _g, _write_rows, main
 from zetaprod.specfun import xi_z
 from zetaprod.transforms import StepFunction, transform_step
 from zetaprod.zerodist import _phi_inverse, phi_smooth
@@ -84,3 +88,92 @@ def test_write_rows_matches_per_row_formatting(floats, ints, rows):
     assert "".join(written) == "".join(
         f"{_g(a)},{int(b)},{_g(c)},{int(d)}\n" for a, b, c, d in zip(x, counts, y, floors)
     )
+
+
+# ------------------------------------------------------- CLI grammar fuzzer
+
+BUNDLED = str(resources.files("zetaprod").joinpath("data/zeros_t100.txt"))
+
+
+def _cheap(x: float) -> bool:
+    """No zero scan above t = 100, and no grid step that builds 1e5 rows or more
+    yet passes the 1e6-row limit, which any step below 1e-7 fails at t_max >= 10."""
+    return not (100 < x <= 1000 or 1e-7 < x < 1e-3)
+
+
+# numbers as Python prints them (nan, inf, huge, subnormal), text that is no
+# number, and numbers a float cannot hold
+junk = st.one_of(st.floats().filter(_cheap).map(repr), st.text(".,+-eEinfa x", max_size=6),
+                 st.sampled_from(["1e999", "-1e999", "1e-999", "0x1p3", ""]))
+
+
+def number(valid):
+    """A valid number three times in four, else junk."""
+    valid = valid.filter(_cheap).map(str)
+    return st.one_of(valid, valid, valid, junk)
+
+
+def numbers(valid, size=3):
+    """A comma-separated list of numbers three times in four, else junk."""
+    listed = st.lists(number(valid), min_size=1, max_size=size).map(",".join)
+    return st.one_of(listed, listed, listed, junk)
+
+
+def flag(name, value, required=False):
+    """The option with a drawn value, or (unless required) nothing."""
+    present = value.map(lambda v: [name, v])
+    return present if required else st.one_of(st.just([]), present)
+
+
+def command(name, *parts):
+    return st.tuples(*parts).map(lambda drawn: [name] + [a for part in drawn for a in part])
+
+
+huge_or_tiny = st.sampled_from([5e-324, 2.2e-308, 1e300, 1.7976931348623157e308])
+point = numbers(st.one_of(st.floats(-50.0, 50.0), st.floats(-1000.0, 1000.0),
+                          huge_or_tiny, huge_or_tiny.map(lambda x: -x)), size=2)
+t_max = number(st.one_of(st.floats(10.0, 100.0), st.just(100.0), st.floats()))
+step = number(st.one_of(st.floats(0.01, 200.0), st.floats(max_value=1e-7)))
+integer = number(st.one_of(st.integers(-2, 40), st.integers()))
+zero_file = st.just(["--zero-file", BUNDLED])
+jobs = flag("--jobs", st.sampled_from(["0", "1", "2"]))
+tols = st.one_of(st.just([]), st.tuples(
+    st.sampled_from(["cosh", "count", "predict-mean", "predict-max", "residual",
+                     "omega-mean", "staircase", "x"]), number(st.floats(-1.0, 3.0)),
+).map(lambda tol: ["--tol", "=".join(tol)]))
+
+cli_argv = st.one_of(
+    command("xi-eval", flag("--z", point, True)),
+    command("verify-table", flag("--rows", numbers(st.integers(0, 10))),
+            st.sampled_from([[], ["--all-pairs"]])),
+    command("cosh-demo", flag("--z", point, True), flag("--terms", integer), tols),
+    command("find-zeros", flag("--t-max", t_max, True), jobs),
+    command("count", flag("--t-max", t_max, True), zero_file, jobs, tols),
+    command("predict", flag("--n", integer, True), zero_file, jobs, tols),
+    command("residual", flag("--z", numbers(st.one_of(st.just(50.0), st.floats(0.0, 200.0))),
+                             True), flag("--t-max", t_max, True), zero_file, jobs, tols),
+    command("omega", flag("--t-max", t_max, True), flag("--step", step), zero_file, jobs, tols),
+    command("report", flag("--t-max", t_max, True), flag("--step", step), zero_file, jobs, tols),
+)
+
+NON_FINITE = re.compile(r"(?i)(?<![a-z_])(nan|inf)")
+
+
+@settings(max_examples=200)
+@given(cli_argv)
+def test_cli_exit_status_over_the_grammar(argv):
+    # exit 0 prints only finite numbers, exit 1 says why on stderr, and a
+    # usage error (exit 2) prints nothing on stdout; nothing else escapes
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue()), out.getvalue()
+    elif code == 1:
+        assert err.getvalue().startswith(("error: ", "FAIL: ")), err.getvalue()
+    else:
+        assert out.getvalue() == ""

@@ -250,6 +250,23 @@ def test_xi_random_vs_mpmath_to_im_850():
         assert rel(xi_s(s), ref) < 1e-11
 
 
+def test_xi_accuracy_across_underflow():
+    # while |xi| is a normal double (t <= 910 on the line) the error is a
+    # fraction of |xi / zeta|, which is relative accuracy away from the zeros;
+    # below 2.2e-308 (t above about 919) the value is subnormal or 0 and only
+    # its absolute error is small
+    rng = np.random.default_rng(20261018)
+    with mp.workdps(40):
+        for t in rng.uniform(10.0, 910.0, 15):
+            s = complex(0.5, t)
+            envelope = abs(mp.gamma(s / 2 + 1) * mp.power(mp.pi, -s / 2) * (s - 1))
+            assert abs(xi_s(s) - complex(mp_xi(s))) <= 1e-11 * float(envelope), t
+        for t in [920.0, 1000.0, *rng.uniform(920.0, 1000.0, 10)]:
+            ref = complex(mp_xi(complex(0.5, t)))
+            assert abs(ref) < sys.float_info.min
+            assert abs(xi_z(complex(0.0, t)) - ref) <= 1e-319, t
+
+
 def test_xi_real_on_imaginary_axis():
     rng = np.random.default_rng(20260510)
     ts = 0.5 + 99.0 * rng.random(40)
