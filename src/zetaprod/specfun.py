@@ -4,9 +4,9 @@ Everything here reduces to three ingredients: an Euler-Maclaurin evaluation
 of zeta to the right of the critical line, a log-gamma that shifts its
 argument by the recurrence until |a| >= 12 and then sums the Bernoulli
 Stirling series, and the regularized product (s - 1) * zeta(s) that removes
-the pole at s = 1.  The symmetrized function is exposed both in the
-classical variable ``s`` and in the shifted variable ``z = s - 1/2`` that
-centers its zeros on the imaginary axis.
+the pole at s = 1.  Left of the line zeta, like xi, reflects through xi(s) =
+xi(1 - s), relatively accurate up to the trivial zeros; xi is exposed in ``s``
+and in ``z = s - 1/2``, which centers its zeros on the imaginary axis.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import DomainError, PoleError, RangeError
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
-LN_2 = math.log(2.0)
 LN_PI = math.log(math.pi)
 LN_2PI = math.log(2.0 * math.pi)
 
@@ -64,23 +63,6 @@ def _finite(x: complex, name: str) -> complex:
     return x
 
 
-def _log1p_c(x: complex) -> complex:
-    """log(1 + x) for complex x, accurate as x -> 0."""
-    if abs(x) < 1e-4:
-        return x * (1 + x * (-0.5 + x * (1 / 3 + x * (-0.25 + 0.2 * x))))
-    return cmath.log(1 + x)
-
-
-def _log_sin(w: complex) -> complex:
-    """log(sin w) up to a multiple of 2*pi*i, safe for large |Im w|."""
-    iw = 1j * w
-    if w.imag > 0:
-        # sin w = -exp(-iw) (1 - exp(2iw)) / (2i)
-        return -iw + _log1p_c(-cmath.exp(2 * iw)) + 0.5j * PI - LN_2
-    # sin w = exp(iw) (1 - exp(-2iw)) / (2i)
-    return iw + _log1p_c(-cmath.exp(-2 * iw)) - 0.5j * PI - LN_2
-
-
 def _zeta_em(s: complex) -> complex:
     """Euler-Maclaurin zeta with cutoff N grown with |Im s|.
 
@@ -120,11 +102,11 @@ def _s1_zeta(w: complex) -> complex:
 def zeta(s: complex) -> complex:
     """Riemann zeta on the cut-free plane, |Im s| <= 1000.
 
-    Uses Euler-Maclaurin summation for re(s) >= 1/2 and the functional
-    equation (in log form, so nothing under- or overflows) for the left
-    half-plane.  Relative accuracy is 1e-10 or better across the supported
-    strip.  Raises :class:`PoleError` at s = 1 and :class:`RangeError`
-    beyond the supported imaginary range.
+    Euler-Maclaurin summation for re(s) >= 1/2; left of that, reflection
+    through xi(s) = xi(1 - s) in log form.  Relative accuracy is 1e-10 or
+    better up to the trivial zeros, where the value is exactly 0.  Raises
+    :class:`PoleError` at s = 1 and :class:`RangeError` beyond |Im s| = 1000
+    or where |zeta| overflows (left of re s = -444 but at the trivial zeros).
     """
     s = _finite(s, "zeta")
     if abs(s.imag) > IM_MAX:
@@ -133,25 +115,22 @@ def zeta(s: complex) -> complex:
         raise PoleError("zeta has a pole at s = 1")
     if s.real >= 0.5:
         return _zeta_em(s)
-    if s.imag == 0.0:
-        x = s.real
-        if x < 0.0 and (x / 2.0).is_integer():
-            return 0j
-    t = 1 - s
-    lead = s * LN_2 + (s - 1) * LN_PI + _log_gamma_any(t)
-    if abs(s) < 0.01:
-        y = PI * s / 2
-        sin_over_s = (PI / 2) * (1 - y * y / 6 * (1 - y * y / 20))
-        return -cmath.exp(lead) * sin_over_s * _s1_zeta(t)
-    return -cmath.exp(lead + _log_sin(PI * s / 2) - cmath.log(s)) * _s1_zeta(t)
+    # trivial zeros (and 5e-324 off one, which s / 2 rounds back onto it)
+    if s.real < 0.0 and (s / 2).imag == 0.0 and (s.real / 2.0).is_integer():
+        return 0j
+    # |zeta| overflows left of re s = -444, so spare the shift loop past -450
+    log_head = _log_gamma_factor(1 - s) - _log_gamma_factor(s) if s.real >= -450.0 else math.inf
+    if log_head.real > _LOG_MAX:
+        raise RangeError(f"|zeta| exceeds the largest double at s = {s:g}")
+    return cmath.exp(log_head) * (_s1_zeta(1 - s) / (s - 1))
 
 
 def _log_gamma_any(a: complex) -> complex:
-    # Analytic log-gamma for re(a) > 0: shift by the recurrence until
+    # Log-gamma off the poles 0, -1, -2, ...: shift by the recurrence until
     # re(a) >= 2 and |a| >= 12, then sum the Stirling series, which reaches
     # 1e-16 within 9 terms there.  The shift logs are summed one by one, so
-    # the imaginary part is the analytic (unwound) one, which is what every
-    # caller here wants, not the principal branch.
+    # near a pole they keep relative accuracy and for re(a) > 0 the imaginary
+    # part is the analytic (unwound) one, not the principal branch.
     shift = 0j
     while a.real < 2.0 or abs(a) < 12.0:
         shift += cmath.log(a)
@@ -166,6 +145,11 @@ def _log_gamma_any(a: complex) -> complex:
             break
         inv *= inv2
     return tot - shift
+
+
+def _log_gamma_factor(w: complex) -> complex:
+    """log gamma(w/2 + 1) - (w/2) log pi: xi(w) = exp(this) (w - 1) zeta(w)."""
+    return _log_gamma_any(w / 2 + 1) - (w / 2) * LN_PI
 
 
 def log_gamma(a: complex) -> complex:
@@ -210,7 +194,7 @@ def xi_s(s: complex) -> complex:
     w = s if s.real >= 0.5 else 1 - s
     if w == 1:
         return 0.5 + 0j  # gamma(3/2) pi^(-1/2) * 1, which rounding would miss
-    log_head = _log_gamma_any(w / 2 + 1) - (w / 2) * LN_PI
+    log_head = _log_gamma_factor(w)
     # beyond _LOG_MAX here re(s) is above 400, where (s - 1) zeta(s) is
     # about s - 1 and only adds to |xi|
     val = cmath.exp(log_head) * _s1_zeta(w) if log_head.real <= _LOG_MAX else math.inf
@@ -239,7 +223,7 @@ def _log_xi_terms(s: complex) -> complex:
     if abs(s.imag) > IM_MAX:
         raise RangeError(f"_log_xi_terms supported for |Im s| <= {IM_MAX:g}")
     w = s if s.real >= 0.5 else 1 - s
-    return _log_gamma_any(w / 2 + 1) - (w / 2) * LN_PI + cmath.log(_s1_zeta(w))
+    return _log_gamma_factor(w) + cmath.log(_s1_zeta(w))
 
 
 def log_xi_z(z: complex) -> complex:
@@ -252,13 +236,8 @@ def log_xi_z(z: complex) -> complex:
     z = _finite(z, "log_xi_z")
     if z.real <= 0.5:
         raise DomainError("log_xi_z requires re(z) > 1/2")
-    return (
-        -LN_2
-        + _log_gamma_any(z / 2 + 0.25)
-        - (z / 2 + 0.25) * LN_PI
-        + cmath.log(z * z - 0.25)
-        + cmath.log(zeta(z + 0.5))
-    )
+    s = z + 0.5
+    return _log_gamma_factor(s) + cmath.log(s - 1) + cmath.log(zeta(s))
 
 
 @dataclass(frozen=True)

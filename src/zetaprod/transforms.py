@@ -25,7 +25,16 @@ from .errors import (
     ProximityError,
     SingularityError,
 )
-from .specfun import LN_2, PI, TWO_PI, _log1p_c
+from .specfun import PI, TWO_PI
+
+LN_2 = math.log(2.0)
+
+
+def _log1p_c(x: complex) -> complex:
+    """log(1 + x) for complex x, accurate as x -> 0."""
+    if abs(x) < 1e-4:
+        return x * (1 + x * (-0.5 + x * (1 / 3 + x * (-0.25 + 0.2 * x))))
+    return cmath.log(1 + x)
 
 
 class StepFunction:
@@ -255,7 +264,8 @@ _ROW_KINDS = {
 
 #: Rows whose catalog entry is a large-|z| truncation rather than an
 #: identity; closed and numeric values then differ by the dropped terms,
-#: below 1e-3 at the default verification points.
+#: 2a^3/(3z^2) (row 2) and (2a^3/z^2)(ln(a)/3 - 1/9) (row 4) to leading
+#: order: below 1e-3 at the default verification points and for |z| >= 50 max(1, a)^1.5.
 TRUNCATED_ROWS = frozenset({2, 4})
 
 #: Default (a, z) pairs at which verify_table_row is exercised.
@@ -410,9 +420,12 @@ def cosh_demo(z: complex, n_terms: int) -> CoshDemoResult:
     n = np.arange(1, int(n_terms) + 1)
     signs = np.where(n % 2 == 1, 1.0, -1.0)
     series = complex(np.sum(signs * np.exp(-2 * z * n) / n))
-    reconstructed = z - LN_2 + series
-    exact = z - LN_2 + _log1p_c(cmath.exp(-2 * z))
-    return CoshDemoResult(reconstructed, exact)
+    return CoshDemoResult(z - LN_2 + series, _log_cosh(z))
+
+
+def _log_cosh(w: complex) -> complex:
+    """log cosh w for re(w) > 0, as w - log 2 + log(1 + exp(-2w))."""
+    return w - LN_2 + _log1p_c(cmath.exp(-2 * w))
 
 
 class MultiplicityDemoResult(NamedTuple):
@@ -432,11 +445,7 @@ def multiplicity_demo(n: int, z: complex) -> MultiplicityDemoResult:
     z = complex(z)
     if z.real / n < 2:
         raise DomainError("multiplicity_demo requires re(z)/n >= 2")
-
-    def log_cosh(w):
-        return w + _log1p_c(cmath.exp(-2 * w)) - LN_2
-
-    ratio = cmath.exp(n * log_cosh(z / n) - log_cosh(z))
+    ratio = cmath.exp(n * _log_cosh(z / n) - _log_cosh(z))
     return MultiplicityDemoResult(ratio, 2.0 ** (1 - n))
 
 
@@ -495,6 +504,15 @@ def strip_quad_factor(quad: StripQuad, z: complex) -> complex:
     return 1.0 + 2.0 * math.cos(quad.beta) * w + w * w
 
 
+def _strip_correction(quad: StripQuad, z: complex) -> tuple[complex, complex]:
+    """w = z^2/q^2 and u = theta w / (4 q^2 (1 + w)^2), with F = (1 + w)^2 (1 - u)."""
+    w = (z / quad.q) ** 2
+    base = 1.0 + w
+    if abs(base) < 1e-12:
+        raise SingularityError("z^2 = -q^2 is a double zero of the reference factor")
+    return w, (quad.theta / (4.0 * quad.q * quad.q)) * w / (base * base)
+
+
 def strip_decomposition_check(quad: StripQuad, z: complex) -> float:
     """Residual of log F = 2 log(1 + z^2/q^2) + log(1 - u).
 
@@ -504,14 +522,10 @@ def strip_decomposition_check(quad: StripQuad, z: complex) -> float:
     left-hand log cannot masquerade as a defect.
     """
     z = complex(z)
-    w = (z / quad.q) ** 2
-    base = 1.0 + w
-    if abs(base) < 1e-12:
-        raise SingularityError("z^2 = -q^2 is a double zero of the reference factor")
+    w, u = _strip_correction(quad, z)
     big_f = strip_quad_factor(quad, z)
     if abs(big_f) < 1e-280:
         raise SingularityError("strip factor vanishes at this z")
-    u = quad.theta * z * z / (4.0 * quad.q ** 4 * base * base)
     diff = cmath.log(big_f) - 2.0 * _log1p_c(w) - _log1p_c(-u)
     di = diff.imag - TWO_PI * round(diff.imag / TWO_PI)
     return math.hypot(diff.real, di)
@@ -538,12 +552,7 @@ def correction_term_bound(quads: Sequence[StripQuad], z: complex) -> CorrectionB
     budget = 0.0
     first_violation: int | None = None
     for i, quad in enumerate(quads):
-        w = (z / quad.q) ** 2
-        base = 1.0 + w
-        if abs(base) < 1e-12:
-            raise SingularityError(f"term {i}: z^2 = -q^2")
-        u = (quad.theta / (4.0 * quad.q * quad.q)) * w / (base * base)
-        corr = abs(_log1p_c(-u))
+        corr = abs(_log1p_c(-_strip_correction(quad, z)[1]))
         per = quad.theta / (4.0 * quad.q * quad.q)
         total += corr
         budget += per

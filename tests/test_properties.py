@@ -1,6 +1,7 @@
 """Property tests: exact symmetries of xi_z, linearity of the step transform,
-the closed-form inverse of the smooth counting curve, the CLI's block CSV
-writer, and the CLI's exit statuses over its documented grammar.
+the catalog's closed forms against quadrature, the closed-form inverse of the
+smooth counting curve, the CLI's block CSV writer, and the CLI's exit
+statuses over its documented grammar.
 
 Examples are drawn by hypothesis under the derandomized profile that
 ``conftest.py`` loads, so every run checks the same points.
@@ -8,6 +9,7 @@ Examples are drawn by hypothesis under the derandomized profile that
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import io
 import re
@@ -15,12 +17,12 @@ import struct
 from importlib import resources
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zetaprod.cli import _BLOCK, _g, _write_rows, main
 from zetaprod.specfun import xi_z
-from zetaprod.transforms import StepFunction, transform_step
+from zetaprod.transforms import TRUNCATED_ROWS, StepFunction, transform_step, verify_table_row
 from zetaprod.zerodist import _phi_inverse, phi_smooth
 
 # both half-planes, across the supported |Im| <= 1000
@@ -61,6 +63,27 @@ def test_transform_step_is_linear(a, b, z):
     lhs = transform_step(a + b, z)
     rhs = transform_step(a, z) + transform_step(b, z)
     assert abs(lhs - rhs) <= 1e-13 * (scale(a) + scale(b))
+
+
+@st.composite
+def catalog_points(draw):
+    """A catalog row, a cutoff a and z with |arg z| <= 0.6 in the row's stated domain."""
+    row = draw(st.integers(1, 9))
+    a = draw(st.floats(0.5, 2.0))
+    if row in (3, 5):
+        lo, hi = 1.05 * max(1.0, a), 10.0
+    elif row in TRUNCATED_ROWS:
+        lo, hi = 50.0 * max(1.0, a) ** 1.5, 100.0 * max(1.0, a) ** 1.5
+    else:
+        lo, hi = 0.5, 10.0
+    z = cmath.rect(draw(st.floats(lo, hi)), draw(st.floats(-0.6, 0.6)))
+    assume(abs(z) >= lo)  # rect may round |z| a step below the domain's edge
+    return row, a, z
+
+
+@given(catalog_points())
+def test_catalog_closed_form_matches_quadrature(point):
+    assert verify_table_row(*point).agree
 
 
 @given(st.floats(0, 1e4))

@@ -59,6 +59,18 @@ def test_zeta_reference_values(s, ref):
 def test_zeta_trivial_zeros_exact():
     for k in range(1, 7):
         assert zeta(-2.0 * k) == 0j
+    # s / 2 rounds the smallest subnormal offset onto the zero itself
+    assert zeta(complex(-20.0, 5e-324)) == 0j
+    assert zeta(-1e300) == 0j
+
+
+def test_zeta_near_trivial_zeros():
+    # relative accuracy where a rounded sin(pi s / 2) would cancel to noise
+    for n in (1, 2, 5, 10):
+        for d in (1e-4, 1e-8, 1e-12):
+            for s in (complex(-2 * n + d), complex(-2 * n - d), complex(-2 * n, d)):
+                ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+                assert rel(zeta(s), ref) <= 1e-12, s
 
 
 def test_zeta_pole_and_range():
@@ -66,6 +78,10 @@ def test_zeta_pole_and_range():
         zeta(1.0)
     with pytest.raises(RangeError):
         zeta(0.5 + 1500j)
+    # |zeta| overflows a double left of re s = -444, but at the trivial zeros
+    for s in (-443.99, -450.5, complex(-446.0, 1e-323), -1e300 + 1j):
+        with pytest.raises(RangeError):
+            zeta(s)
 
 
 def test_zeta_random_right_plane():
@@ -80,10 +96,8 @@ def test_zeta_random_left_plane():
     rng = np.random.default_rng(20260502)
     for _ in range(25):
         s = complex(-8.0 + 8.4 * rng.random(), 60.0 * (rng.random() - 0.5))
-        if abs(s.real - round(s.real)) < 1e-3:
-            s += 0.01  # stay away from trivial zeros, where rel blows up
         ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
-        assert rel(zeta(s), ref) < 1e-9
+        assert rel(zeta(s), ref) < 1e-10
 
 
 # The random mpmath tests above stay near the real axis; these reach the top of
@@ -103,7 +117,19 @@ def test_zeta_random_left_plane_to_im_max():
     for _ in range(60):
         s = complex(-8.0 + 8.4 * rng.random(), 2000.0 * (rng.random() - 0.5))
         ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
-        assert rel(zeta(s), ref) < 1e-9
+        assert rel(zeta(s), ref) < 1e-10
+
+
+def test_zeta_far_left_until_overflow():
+    rng = np.random.default_rng(20261018)
+    for _ in range(60):
+        s = complex(-450.0 + 440.0 * rng.random(), 2000.0 * (rng.random() - 0.5))
+        ref = mp.zeta(mp.mpc(s.real, s.imag))
+        if abs(ref) < 1e307:
+            assert rel(zeta(s), complex(ref)) < 1e-10
+        elif abs(ref) > sys.float_info.max:
+            with pytest.raises(RangeError):
+                zeta(s)
 
 
 def test_zeta_near_pole_laurent():
