@@ -152,7 +152,7 @@ def _cmd_xi_eval(args: argparse.Namespace, write: Write) -> list[str]:
         ln = log_xi_z(z)
     else:
         # log form: no underflow; phase in (-pi, pi], exactly 0 or pi on the line
-        ln = _log_xi_terms(z + 0.5)
+        ln = _log_xi_terms(z + 0.5)[0]
         if z.real == 0:
             ln = complex(ln.real, PI * (round(ln.imag / PI) % 2))
         else:

@@ -63,39 +63,61 @@ def _finite(x: complex, name: str) -> complex:
     return x
 
 
-def _zeta_em(s: complex) -> complex:
-    """Euler-Maclaurin zeta with cutoff N grown with |Im s|.
+def _zeta_em(s: complex, slope: bool = False):
+    """Euler-Maclaurin zeta with cutoff N grown with |Im s|; with slope, the
+    pair (zeta(s), zeta'(s)).
 
     Head sum_{n<N} n^(-s), boundary terms at N, then Bernoulli corrections
-    until one falls below 1e-16 of the running total.  Callers ensure
-    re(s) >= 1/2, s != 1 and |Im s| <= IM_MAX, which keeps N within _LOG_N.
+    until one falls below 1e-16 of the running total.  The derivative
+    differentiates the same terms one by one and stops with them; its head
+    reuses the powers n^(-s).  Callers ensure re(s) >= 1/2, s != 1 and
+    |Im s| <= IM_MAX, which keeps N within _LOG_N.
     """
     big_n = max(20, int(abs(s.imag) / 2) + 10)
-    tot = complex(np.sum(np.exp(-s * _LOG_N[: big_n - 1])))
-    tot += big_n ** (1 - s) / (s - 1) + 0.5 * big_n ** (-s)
+    powers = np.exp(-s * _LOG_N[: big_n - 1])
+    tot = complex(np.sum(powers))
+    edge = big_n ** (1 - s) / (s - 1)
+    half = 0.5 * big_n ** (-s)
+    tot += edge + half
+    if slope:
+        log_n = math.log(big_n)
+        dtot = -complex(_LOG_N[: big_n - 1] @ powers) - edge * (log_n + 1 / (s - 1)) - log_n * half
+        dlog = 1 / s - log_n  # log-derivative of the Bernoulli term
     poch = complex(s)
     bpow = big_n ** (-s - 1)
     fact = 2.0
     for k, b2k in enumerate(_BERNOULLI, start=1):
         term = (b2k / fact) * poch * bpow
         tot += term
+        if slope:
+            dtot += term * dlog
         if abs(term) < 1e-16 * abs(tot):
             break
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
+        rise = (s + 2 * k - 1) * (s + 2 * k)
+        poch *= rise
         bpow /= big_n * big_n
         fact *= (2 * k + 1) * (2 * k + 2)
-    return tot
+        if slope:
+            dlog += (2 * s + 4 * k - 1) / rise
+    return (tot, dtot) if slope else tot
 
 
-def _s1_zeta(w: complex) -> complex:
-    """The entire function (w - 1) * zeta(w), finite at w = 1.
+def _s1_zeta(w: complex, slope: bool = False):
+    """The entire function (w - 1) * zeta(w), finite at w = 1; with slope, the
+    pair of it and its log-derivative.
 
     Callers pass re(w) >= 1/2: zeta, xi_s and _log_xi_terms reflect first.
     """
     u = w - 1
     if abs(u) <= 0.02:
         g0, g1, g2, g3, g4 = _STIELTJES
-        return 1 + u * (g0 + u * (-g1 + u * (g2 / 2 + u * (-g3 / 6 + u * (g4 / 24)))))
+        val = 1 + u * (g0 + u * (-g1 + u * (g2 / 2 + u * (-g3 / 6 + u * (g4 / 24)))))
+        if slope:
+            return val, (g0 + u * (-2 * g1 + u * (1.5 * g2 + u * (-2 * g3 / 3 + u * (5 * g4 / 24))))) / val
+        return val
+    if slope:
+        z, dz = _zeta_em(w, slope=True)
+        return u * z, 1 / u + dz / z
     return u * _zeta_em(w)
 
 
@@ -107,6 +129,7 @@ def zeta(s: complex) -> complex:
     better up to the trivial zeros, where the value is exactly 0.  Raises
     :class:`PoleError` at s = 1 and :class:`RangeError` beyond |Im s| = 1000
     or where |zeta| overflows (left of re s = -444 but at the trivial zeros).
+    Real s gives a real value.
     """
     s = _finite(s, "zeta")
     if abs(s.imag) > IM_MAX:
@@ -122,29 +145,43 @@ def zeta(s: complex) -> complex:
     log_head = _log_gamma_factor(1 - s) - _log_gamma_factor(s) if s.real >= -450.0 else math.inf
     if log_head.real > _LOG_MAX:
         raise RangeError(f"|zeta| exceeds the largest double at s = {s:g}")
-    return cmath.exp(log_head) * (_s1_zeta(1 - s) / (s - 1))
+    val = cmath.exp(log_head) * (_s1_zeta(1 - s) / (s - 1))
+    return complex(val.real) if s.imag == 0 else val
 
 
-def _log_gamma_any(a: complex) -> complex:
+def _log_gamma_any(a: complex, slope: bool = False):
     # Log-gamma off the poles 0, -1, -2, ...: shift by the recurrence until
     # re(a) >= 2 and |a| >= 12, then sum the Stirling series, which reaches
     # 1e-16 within 9 terms there.  The shift logs are summed one by one, so
     # near a pole they keep relative accuracy and for re(a) > 0 the imaginary
-    # part is the analytic (unwound) one, not the principal branch.
+    # part is the analytic (unwound) one, not the principal branch.  With
+    # slope, the pair (log-gamma, digamma): the same series differentiated
+    # term by term, less the shift's sum of 1/a.
     shift = 0j
+    dshift = 0j
     while a.real < 2.0 or abs(a) < 12.0:
         shift += cmath.log(a)
+        if slope:
+            dshift += 1 / a
         a = a + 1
-    tot = (a - 0.5) * cmath.log(a) - a + 0.5 * LN_2PI
+    log_a = cmath.log(a)
+    tot = (a - 0.5) * log_a - a + 0.5 * LN_2PI
     inv = 1 / a
     inv2 = inv * inv
+    if slope:
+        rec = inv
+        dtot = log_a - 0.5 * rec
+        odd = 1  # d/da of c a^(1 - 2k) is -(2k - 1) c a^(-2k)
     for c in _STIRLING:
         term = c * inv
         tot += term
+        if slope:
+            dtot -= odd * term * rec
+            odd += 2
         if abs(term) < 1e-16 * abs(tot):
             break
         inv *= inv2
-    return tot - shift
+    return (tot - shift, dtot - dshift) if slope else tot - shift
 
 
 def _log_gamma_factor(w: complex) -> complex:
@@ -212,18 +249,27 @@ def xi_z(z: complex) -> complex:
     return xi_s((z if complex(z).real >= 0 else -z) + 0.5)
 
 
-def _log_xi_terms(s: complex) -> complex:
-    """log xi_s up to a multiple of 2*pi*i, with no under- or overflow.
+def _log_xi_terms(s: complex) -> tuple[complex, complex]:
+    """The pair (log xi_s, d log xi_s / ds), with no under- or overflow.
 
-    The imaginary part carries the phase; the real part is log |xi_s|.
-    Used for the sign scan high on the critical line, where xi itself
+    The log is fixed up to a multiple of 2*pi*i: its imaginary part carries
+    the phase, its real part is log |xi_s|.  The slope is
+    psi(s/2 + 1)/2 - (ln pi)/2 + 1/(s - 1) + zeta'/zeta, from the same
+    Stirling and Euler-Maclaurin passes, so it costs about a quarter more than
+    the log alone; left of the critical line it is -L'(1 - s).  Near a zero
+    of xi the slope is dominated by rounding in zeta'/zeta.  Used for the
+    sign scan and root refinement high on the critical line, where xi itself
     underflows.  Raises :class:`RangeError` beyond |Im s| <= 1000, like
     :func:`xi_s`.
     """
     if abs(s.imag) > IM_MAX:
         raise RangeError(f"_log_xi_terms supported for |Im s| <= {IM_MAX:g}")
     w = s if s.real >= 0.5 else 1 - s
-    return _log_gamma_factor(w) + cmath.log(_s1_zeta(w))
+    log_gamma, psi = _log_gamma_any(w / 2 + 1, slope=True)
+    s1_zeta, s1_slope = _s1_zeta(w, slope=True)
+    value = (log_gamma - (w / 2) * LN_PI) + cmath.log(s1_zeta)
+    slope = 0.5 * (psi - LN_PI) + s1_slope
+    return value, (slope if s.real >= 0.5 else -slope)
 
 
 def log_xi_z(z: complex) -> complex:

@@ -47,7 +47,7 @@ def xi_phase():
     so count_zeros_contour's proximity test stops it there; this handle
     keeps only the phase, from the log form, which does not underflow.
     """
-    return lambda z: cmath.exp(1j * _log_xi_terms(complex(z) + 0.5).imag)
+    return lambda z: cmath.exp(1j * _log_xi_terms(complex(z) + 0.5)[0].imag)
 
 
 @pytest.fixture(scope="session")

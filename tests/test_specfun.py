@@ -18,7 +18,9 @@ from zetaprod.errors import (
     RangeError,
 )
 from zetaprod.specfun import (
+    _log_gamma_factor,
     _log_xi_terms,
+    _s1_zeta,
     ln_zeta_bound_check,
     log_gamma,
     log_xi_asymptotic,
@@ -54,6 +56,15 @@ ZETA_REFERENCE = [
 @pytest.mark.parametrize("s,ref", ZETA_REFERENCE)
 def test_zeta_reference_values(s, ref):
     assert rel(zeta(s), ref) < 1e-10
+
+
+def test_zeta_real_on_the_real_axis():
+    # each recurrence log of a negative real in the gamma factor adds a
+    # rounded i*pi to the reflection's exponent; zeta is real there
+    for x in (0.25, 0.0, -0.5, -3.0, -7.5, -170.5):
+        val = zeta(x)
+        assert val.imag == 0.0, x
+        assert rel(val.real, float(mp.zeta(x))) <= 1e-12, x
 
 
 def test_zeta_trivial_zeros_exact():
@@ -312,7 +323,7 @@ def test_xi_refuses_overflow():
     log_max = math.log(sys.float_info.max)
     for x in np.arange(400.0, 461.0):
         for z in (x, x + 30j, -x):
-            if _log_xi_terms(complex(z) + 0.5).real > log_max:
+            if _log_xi_terms(complex(z) + 0.5)[0].real > log_max:
                 with pytest.raises(RangeError, match="largest double"):
                     xi_z(z)
             else:
@@ -345,6 +356,38 @@ def test_non_finite_argument_refused(fn, x):
 def test_log_xi_terms_range():
     with pytest.raises(RangeError):
         _log_xi_terms(0.5 + 1200j)
+
+
+def mp_log_xi_slope(s: complex) -> complex:
+    s = mp.mpc(s.real, s.imag)
+    return complex(mp.digamma(s / 2 + 1) / 2 - mp.log(mp.pi) / 2 + 1 / (s - 1)
+                   + mp.zeta(s, derivative=1) / mp.zeta(s))
+
+
+def log_xi_points() -> list[complex]:
+    """Seeded points for the log xi pair: the critical line, either side of it
+    up to |Im s| = 1000, reflected points left of it, and the Laurent disc
+    |s - 1| <= 0.02."""
+    rng = np.random.default_rng(20261019)
+    points = [complex(x, y) for x in (0.5, 0.7, 1.5, 3.0) for y in rng.uniform(-1000, 1000, 6)]
+    points += [complex(x, y) for x in (0.3, -0.5, -3.0) for y in rng.uniform(-1000, 1000, 3)]
+    points += [1 + 0.02 * cmath.rect(r, a) for r, a in rng.uniform((0, -math.pi), (1, math.pi), (8, 2))]
+    return points + [0.25, 2.0, 1.019, complex(0.5, 14.1357)]
+
+
+def test_log_xi_slope_against_mpmath():
+    worst = 0.0
+    for s in log_xi_points():
+        ref = mp_log_xi_slope(s)
+        worst = max(worst, abs(_log_xi_terms(s)[1] - ref) / max(1.0, abs(ref)))
+    assert worst <= 1e-10
+
+
+def test_log_xi_terms_value_is_the_log_alone():
+    # the slope pass leaves the log bit for bit as the gamma factor plus log (w - 1) zeta(w)
+    for s in log_xi_points():
+        w = s if s.real >= 0.5 else 1 - s
+        assert _log_xi_terms(s)[0] == _log_gamma_factor(w) + cmath.log(_s1_zeta(w)), s
 
 
 def test_log_xi_z_exponentiates_to_xi():

@@ -163,7 +163,7 @@ def test_find_zeros_matches_reference_to_1000(monkeypatch):
     zeros = find_zeros(1000.0)
     assert len(zeros) == len(expected) == 649
     assert float(np.max(np.abs(zeros.ordinates - expected))) <= 1e-11
-    assert calls["line"] <= 5609
+    assert calls["line"] <= 2738
 
 
 def test_find_zeros_matches_reference_at_seeded_heights():
@@ -180,12 +180,39 @@ def test_find_zeros_matches_reference_at_seeded_heights():
 
 
 def test_find_zeros_evaluation_counts(monkeypatch):
-    # deterministic cost gate for find_zeros(100): 30 grid points and 213
+    # deterministic cost gate for find_zeros(100): 30 grid points and 92
     # refinement steps for 29 zeros on the line, 17 samples for N(t_max)
     calls = _count_evaluations(monkeypatch)
     assert len(find_zeros(100.0)) == 29
-    assert calls["line"] <= 243
+    assert calls["line"] <= 122
     assert calls["count"] <= 17
+
+
+def test_newton_stop_rule_bound():
+    # After a Newton step d the error is about C d^2, C = |g''/2g'| at the
+    # zero; refinement stops after |d| <= 1e-6.  g' and g'' come from the
+    # analytic slope 1e-3 either side of each zero: at the zero itself
+    # zeta'/zeta is rounding noise.  Worst: 3.09, at 630.474.
+    h = 1e-3
+    worst = 0.0
+    for k in ZeroList.read(REFERENCE).ordinates.tolist():
+        d_minus = zerodist._line_value(k - h)[1]
+        d_plus = zerodist._line_value(k + h)[1]
+        worst = max(worst, abs((d_plus - d_minus) / (2 * h) / (d_plus + d_minus)))
+    assert worst * 1e-6 ** 2 <= 1e-11
+
+
+def test_refinement_bisects_a_step_that_leaves_the_bracket():
+    # With these end slopes the cubic start lands near 11.13, where g has a
+    # maximum and Newton's step aims at -9.9, far outside [10, 17.85].
+    # Taken, it would head for another zero; bisected, it keeps 14.13.
+    lo, hi = 10.0, 17.85
+    g_lo, g_hi = zerodist._line_value(lo)[0], zerodist._line_value(hi)[0]
+    start = zerodist._newton_start(lo, g_lo, 0.0, hi, g_hi, 500.0)
+    g, dg = zerodist._line_value(start)
+    assert not lo < start - g / dg < hi
+    root = zerodist._bisect_sign_change(lo, g_lo, 0.0, hi, g_hi, 500.0)
+    assert abs(root - ZeroList.read(REFERENCE).ordinates[0]) <= 1e-11
 
 
 def test_find_zeros_cluster_error(monkeypatch):
