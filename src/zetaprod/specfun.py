@@ -43,7 +43,23 @@ _BERNOULLI = (
 _STIRLING = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, start=1))
 
 # log n for the Dirichlet head of _zeta_em: as long as its cutoff at |Im s| = IM_MAX.
+# The complex copy is what the slope's dot product would cast it to on every call.
 _LOG_N = np.log(np.arange(1, int(IM_MAX / 2) + 10, dtype=float))
+_LOG_N_COMPLEX = _LOG_N.astype(complex)
+
+
+def _em_coefficients():
+    """(B_2k / (2k)!, 2k) for the Bernoulli corrections of _zeta_em, with
+    (2k)! built up in floats one factor pair at a time, which fixes how the
+    coefficients round."""
+    coef, fact = [], 2.0
+    for k, b2k in enumerate(_BERNOULLI, start=1):
+        coef.append((b2k / fact, 2 * k))
+        fact *= (2 * k + 1) * (2 * k + 2)
+    return tuple(coef)
+
+
+_EM_COEF = _em_coefficients()
 
 # Stieltjes constants gamma_0 .. gamma_4 for the Laurent expansion at s = 1.
 _STIELTJES = (
@@ -67,38 +83,39 @@ def _zeta_em(s: complex, slope: bool = False):
     """Euler-Maclaurin zeta with cutoff N grown with |Im s|; with slope, the
     pair (zeta(s), zeta'(s)).
 
-    Head sum_{n<N} n^(-s), boundary terms at N, then Bernoulli corrections
-    until one falls below 1e-16 of the running total.  The derivative
-    differentiates the same terms one by one and stops with them; its head
-    reuses the powers n^(-s).  Callers ensure re(s) >= 1/2, s != 1 and
-    |Im s| <= IM_MAX, which keeps N within _LOG_N.
+    Head sum_{n<N} n^(-s), boundary terms at N, then the Bernoulli
+    corrections (B_2k / (2k)!) s(s+1)...(s+2k-2) N^(-s-2k+1), with the
+    coefficients from _EM_COEF, until one falls below 1e-16 of the running
+    total.  The derivative differentiates the same terms one by one and
+    stops with them; its head dots the powers n^(-s) against log n.
+    Callers ensure re(s) >= 1/2, s != 1 and |Im s| <= IM_MAX, which keeps N
+    within _LOG_N.
     """
     big_n = max(20, int(abs(s.imag) / 2) + 10)
     powers = np.exp(-s * _LOG_N[: big_n - 1])
-    tot = complex(np.sum(powers))
+    tot = complex(powers.sum())
     edge = big_n ** (1 - s) / (s - 1)
     half = 0.5 * big_n ** (-s)
     tot += edge + half
     if slope:
         log_n = math.log(big_n)
-        dtot = -complex(_LOG_N[: big_n - 1] @ powers) - edge * (log_n + 1 / (s - 1)) - log_n * half
+        dtot = -complex(_LOG_N_COMPLEX[: big_n - 1] @ powers) - edge * (log_n + 1 / (s - 1)) - log_n * half
         dlog = 1 / s - log_n  # log-derivative of the Bernoulli term
     poch = complex(s)
     bpow = big_n ** (-s - 1)
-    fact = 2.0
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        term = (b2k / fact) * poch * bpow
+    n_sq = big_n * big_n
+    for coef, two_k in _EM_COEF:
+        term = coef * poch * bpow
         tot += term
         if slope:
             dtot += term * dlog
         if abs(term) < 1e-16 * abs(tot):
             break
-        rise = (s + 2 * k - 1) * (s + 2 * k)
+        rise = (s + two_k - 1) * (s + two_k)
         poch *= rise
-        bpow /= big_n * big_n
-        fact *= (2 * k + 1) * (2 * k + 2)
+        bpow /= n_sq
         if slope:
-            dlog += (2 * s + 4 * k - 1) / rise
+            dlog += (2 * s + 2 * two_k - 1) / rise
     return (tot, dtot) if slope else tot
 
 
@@ -126,7 +143,8 @@ def zeta(s: complex) -> complex:
 
     Euler-Maclaurin summation for re(s) >= 1/2; left of that, reflection
     through xi(s) = xi(1 - s) in log form.  Relative accuracy is 1e-10 or
-    better up to the trivial zeros, where the value is exactly 0.  Raises
+    better up to the trivial zeros, where the value is exactly 0 (and
+    i y zeta'(-2n) at -2n + iy when s / 2 rounds y away).  Raises
     :class:`PoleError` at s = 1 and :class:`RangeError` beyond |Im s| = 1000
     or where |zeta| overflows (left of re s = -444 but at the trivial zeros).
     Real s gives a real value.
@@ -140,13 +158,32 @@ def zeta(s: complex) -> complex:
         return _zeta_em(s)
     # trivial zeros (and 5e-324 off one, which s / 2 rounds back onto it)
     if s.real < 0.0 and (s / 2).imag == 0.0 and (s.real / 2.0).is_integer():
-        return 0j
+        return _at_trivial_zero(s)
     # |zeta| overflows left of re s = -444, so spare the shift loop past -450
     log_head = _log_gamma_factor(1 - s) - _log_gamma_factor(s) if s.real >= -450.0 else math.inf
     if log_head.real > _LOG_MAX:
         raise RangeError(f"|zeta| exceeds the largest double at s = {s:g}")
     val = cmath.exp(log_head) * (_s1_zeta(1 - s) / (s - 1))
     return complex(val.real) if s.imag == 0 else val
+
+
+def _at_trivial_zero(s: complex) -> complex:
+    """zeta at s = -2n + iy with y = 0 or so small that s / 2 rounds it away.
+
+    0 at the zero itself, else to first order i y zeta'(-2n), with
+    zeta'(-2n) = (-1)^n (2n)! zeta(2n + 1) / (2 (2 pi)^2n) summed in log
+    form: it overflows a double from 2n = 260 on, and y zeta'(-2n) does
+    from 2n = 446, where this raises :class:`RangeError`.
+    """
+    if s.imag == 0:
+        return 0j
+    two_n = -s.real
+    log_abs = math.inf if two_n > 450 else (
+        math.lgamma(two_n + 1) + math.log(_zeta_em(complex(two_n + 1)).real)
+        - math.log(2.0) - two_n * LN_2PI + math.log(abs(s.imag)))
+    if log_abs > _LOG_MAX:
+        raise RangeError(f"|zeta| exceeds the largest double at s = {s:g}")
+    return complex(0.0, math.copysign(math.exp(log_abs), s.imag if two_n % 4 == 0 else -s.imag))
 
 
 def _log_gamma_any(a: complex, slope: bool = False):

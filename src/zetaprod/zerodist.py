@@ -206,16 +206,24 @@ def _line_value(t: float) -> tuple[float, float]:
     return g, g * (0.25 * PI - slope.imag)
 
 
+def _hermite(lo, g_lo, d_lo, hi, g_hi, d_hi):
+    """(h, a1, a2, a3) with h = hi - lo: the cubic Hermite interpolant through
+    values g and slopes d at both ends is g_lo + x (a1 + x (a2 + x a3)) at
+    lo + h x.  Scalars or arrays."""
+    h = hi - lo
+    a1 = h * d_lo
+    a2 = 3 * (g_hi - g_lo) - h * (2 * d_lo + d_hi)
+    a3 = 2 * (g_lo - g_hi) + h * (d_lo + d_hi)
+    return h, a1, a2, a3
+
+
 def _newton_start(lo: float, g_lo: float, d_lo: float, hi: float, g_hi: float, d_hi: float) -> float:
     """Root in (lo, hi) of the cubic Hermite interpolant through both ends.
 
     Three Newton steps on the cubic from the chord's root; a step that
     leaves the bracket ends them where they stand.
     """
-    h = hi - lo
-    a1 = h * d_lo
-    a2 = 3 * (g_hi - g_lo) - h * (2 * d_lo + d_hi)
-    a3 = 2 * (g_lo - g_hi) + h * (d_lo + d_hi)
+    h, a1, a2, a3 = _hermite(lo, g_lo, d_lo, hi, g_hi, d_hi)
     x = g_lo / (g_lo - g_hi)
     for _ in range(3):
         p = g_lo + x * (a1 + x * (a2 + x * a3))
@@ -224,6 +232,27 @@ def _newton_start(lo: float, g_lo: float, d_lo: float, hi: float, g_hi: float, d
             break
         x -= p / dp
     return lo + h * x
+
+
+def _dips(ts: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, t) for every interval [ts[i], ts[i + 1]] without a sign change of
+    g = gs[:, 0] whose cubic Hermite interpolant (slopes gs[:, 1]) turns
+    back across zero inside it; t is the interior extremum of that cubic.
+
+    The extremum that can cross is a minimum where g > 0 at the ends and a
+    maximum where g < 0: x* = -a1 / (a2 + sign(g_lo) sqrt(a2^2 - 3 a1 a3)),
+    the root of the cubic's slope taken in the form that does not cancel.
+    """
+    g_lo, g_hi = gs[:-1, 0], gs[1:, 0]
+    h, a1, a2, a3 = _hermite(ts[:-1], g_lo, gs[:-1, 1], ts[1:], g_hi, gs[1:, 1])
+    sign = np.sign(g_lo)
+    den = a2 + sign * np.sqrt(np.maximum(a2 * a2 - 3 * a1 * a3, 0.0))
+    # 0 < -a1 / den < 1, tested without dividing: den may be 0
+    inside = (a1 * den < 0) & (np.abs(a1) < np.abs(den))
+    x = -a1 / np.where(inside, den, 1.0)
+    turn = g_lo + x * (a1 + x * (a2 + x * a3))
+    i = np.flatnonzero(inside & (sign == np.sign(g_hi)) & (np.sign(turn) == -sign))
+    return i, ts[i] + h[i] * x[i]
 
 
 def _bisect_sign_change(lo: float, g_lo: float, d_lo: float,
@@ -262,10 +291,10 @@ def _line_values(ts: np.ndarray) -> np.ndarray:
     return np.array([_line_value(t) for t in ts.tolist()], dtype=float)
 
 
-#: Narrowest scan interval the sign scan halves.  The grid intervals are
+#: Narrowest scan interval the sign scan splits.  The grid intervals are
 #: about 1.2 wide or more, and every t_max tried up to 1000 closes within
-#: three rounds of halving, so an interval this narrow that still has to be
-#: halved means the count N(t_max) cannot be closed.
+#: a few rounds, so an interval this narrow that still has to be split
+#: means the count N(t_max) cannot be closed.
 _MIN_WIDTH = 1e-3
 
 
@@ -276,8 +305,14 @@ def _sign_scan(t_max: float, expected: int) -> np.ndarray:
 
     The grid is 10, every k_n = _phi_inverse(n) with n < phi(t_max) - 1/2,
     and t_max: the paper's curve crosses n at k_n, about once per zero.
-    While the sign changes fall short, every interval without one is halved,
-    with its two neighbours (a Gram block; Rosser, Yohe and Schoenfeld 1969).
+    While the sign changes fall short, each round splits intervals without
+    one.  Where the cubic Hermite interpolant through the values and slopes
+    of an interval turns back across zero (see :func:`_dips`), g is taken
+    at that turn, which lies between the two zeros of a missed pair.  Only
+    in a round where no interval dips is every interval without a sign
+    change halved, with its two neighbours (a Gram block; Rosser, Yohe and
+    Schoenfeld 1969).  An interval to be split that is narrower than
+    _MIN_WIDTH, or more sign changes than expected, is a ClusterError.
     """
     # phi(10) = 0.023, so k_1 = 17.85 is the first level above 10.  The last
     # interval spans at least half a level: one that started barely above
@@ -291,15 +326,17 @@ def _sign_scan(t_max: float, expected: int) -> np.ndarray:
         if found == expected:
             i = np.flatnonzero(change)
             return np.column_stack((ts[i], gs[i], ts[i + 1], gs[i + 1]))
-        halve = ~change
-        halve[1:] |= ~change[:-1]
-        halve[:-1] |= ~change[1:]
-        i = np.flatnonzero(halve)
+        i, new = _dips(ts, gs)
+        if not len(i):
+            halve = ~change
+            halve[1:] |= ~change[:-1]
+            halve[:-1] |= ~change[1:]
+            i = np.flatnonzero(halve)
+            new = 0.5 * (ts[i] + ts[i + 1])
         if found > expected or not len(i) or np.min(ts[i + 1] - ts[i]) < _MIN_WIDTH:
             raise ClusterError(f"scan found {found} zeros below {t_max:g}, N(t_max) = {expected}, "
-                               f"with intervals halved down to {_MIN_WIDTH:g} wide")
-        mids = 0.5 * (ts[i] + ts[i + 1])
-        ts, gs = np.insert(ts, i + 1, mids), np.insert(gs, i + 1, _line_values(mids), axis=0)
+                               f"with intervals split down to {_MIN_WIDTH:g} wide")
+        ts, gs = np.insert(ts, i + 1, new), np.insert(gs, i + 1, _line_values(new), axis=0)
 
 
 def _theta(t: float) -> float:
@@ -321,14 +358,15 @@ def find_zeros(t_max: float) -> ZeroList:
     """Zeros of xi on the critical line in [10, t_max], complete and simple.
 
     A sign scan on the paper's integer-level grid (see :func:`_sign_scan`)
-    is closed against the exact count N(t_max), halving Gram blocks where
-    it falls short; an interval that would need halving below
-    ``_MIN_WIDTH`` raises :class:`ClusterError`.  Each sign change is then
-    refined by bracketed Newton steps on the rescaled real xi, started at
-    the root of the cubic through the scan's values and slopes (see
-    :func:`_bisect_sign_change`), about 2.8 evaluations per zero; the
-    returned ordinates lie within 1e-11 of the true zeros.  A t_max within
-    rounding of an ordinate raises :class:`ProximityError`.
+    is closed against the exact count N(t_max): where it falls short it
+    probes the dips of the cubic through the scan's values and slopes, and
+    halves Gram blocks only in a round with no dip to probe; an interval
+    that would need splitting below ``_MIN_WIDTH`` raises
+    :class:`ClusterError`.  Each sign change is then refined by bracketed
+    Newton steps on the rescaled real xi, started at the root of the same
+    cubic (see :func:`_bisect_sign_change`), about 2.9 evaluations per
+    zero; the returned ordinates lie within 1e-11 of the true zeros.  A
+    t_max within rounding of an ordinate raises :class:`ProximityError`.
     """
     if not (t_max > 14):
         raise DomainError(f"t_max must exceed 14, got {t_max!r}")

@@ -6,6 +6,7 @@ import cmath
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +19,7 @@ from zetaprod.errors import (
     RangeError,
 )
 from zetaprod.specfun import (
+    _EM_COEF,
     _log_gamma_factor,
     _log_xi_terms,
     _s1_zeta,
@@ -70,9 +72,20 @@ def test_zeta_real_on_the_real_axis():
 def test_zeta_trivial_zeros_exact():
     for k in range(1, 7):
         assert zeta(-2.0 * k) == 0j
-    # s / 2 rounds the smallest subnormal offset onto the zero itself
-    assert zeta(complex(-20.0, 5e-324)) == 0j
+    # 5e-324 off -2, zeta is -1.5e-325i, which rounds to 0
+    assert zeta(complex(-2.0, 5e-324)) == 0j
     assert zeta(-1e300) == 0j
+
+
+@pytest.mark.parametrize("two_n", [444, 100, 20, 2])
+def test_zeta_smallest_offset_from_a_trivial_zero(two_n):
+    # s / 2 rounds the offset 5e-324 away, so s looks like the zero itself;
+    # zeta there is 5e-324 i zeta'(-2n): 2.2e306i at -444, 6.5e-322i at -20
+    # (a subnormal, compared once both are rounded) and 0 at -2
+    s = complex(-two_n, 5e-324)
+    with mp.workdps(50):
+        ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+    assert abs(zeta(s) - ref) <= 1e-12 * abs(ref)
 
 
 def test_zeta_near_trivial_zeros():
@@ -141,6 +154,14 @@ def test_zeta_far_left_until_overflow():
         elif abs(ref) > sys.float_info.max:
             with pytest.raises(RangeError):
                 zeta(s)
+
+
+def test_em_coefficients_are_bernoulli_over_factorial():
+    for k, (coef, two_k) in enumerate(_EM_COEF, start=1):
+        num, den = mp.bernfrac(2 * k)
+        exact = Fraction(int(num), int(den) * math.factorial(2 * k))
+        assert two_k == 2 * k
+        assert abs(Fraction(coef) - exact) <= Fraction(1, 10 ** 14) * abs(exact), two_k
 
 
 def test_zeta_near_pole_laurent():

@@ -163,16 +163,18 @@ def test_find_zeros_matches_reference_to_1000(monkeypatch):
     zeros = find_zeros(1000.0)
     assert len(zeros) == len(expected) == 649
     assert float(np.max(np.abs(zeros.ordinates - expected))) <= 1e-11
-    assert calls["line"] <= 2738
+    assert calls["line"] <= 2554
 
 
 def test_find_zeros_matches_reference_at_seeded_heights():
-    # 334.65, 482.03, 825.87 and 990.25 need two rounds of halving to close
-    # the scan; 21.27, 54.97, 94.11 and 231.34 close on the grid itself.
+    # 21.27, 54.97, 94.11 and 231.34 close on the grid itself; 482.03,
+    # 825.87, 990.25, 751 and 965 fall short on it and close in one round of
+    # probing Hermite dips; 334.65 and 751.5 also need a round of halving.
     # 323 lies 2.6e-4 above k_152, where phi = 152: a grid that kept that
-    # level would start with a last interval below the width floor.
+    # level would start with a last interval below the width floor.  Just
+    # below 751 lie the two closest zeros below 1000, 0.31 apart.
     reference = ZeroList.read(REFERENCE).ordinates
-    for t_max in [*np.random.default_rng(1969).uniform(14.5, 1000.0, 8), 323.0]:
+    for t_max in [*np.random.default_rng(1969).uniform(14.5, 1000.0, 8), 323.0, 751.0, 751.5, 965.0]:
         zeros = find_zeros(float(t_max))
         expected = reference[reference < t_max]
         assert len(zeros) == len(expected), t_max
@@ -180,12 +182,45 @@ def test_find_zeros_matches_reference_at_seeded_heights():
 
 
 def test_find_zeros_evaluation_counts(monkeypatch):
-    # deterministic cost gate for find_zeros(100): 30 grid points and 92
-    # refinement steps for 29 zeros on the line, 17 samples for N(t_max)
+    # deterministic cost gate: for find_zeros(100), 30 grid points and 92
+    # refinement steps for 29 zeros on the line, 17 samples for N(t_max);
+    # for find_zeros(500), 277 scan points and 788 refinement steps
     calls = _count_evaluations(monkeypatch)
     assert len(find_zeros(100.0)) == 29
     assert calls["line"] <= 122
     assert calls["count"] <= 17
+    calls["line"] = 0
+    assert len(find_zeros(500.0)) == 269
+    assert calls["line"] <= 1065
+
+
+def test_scan_probes_hermite_dips(monkeypatch):
+    # halving Gram blocks took three rounds and 1,206 scan points to close
+    # N(965); one round of probing the dips closes it with 641.  The scan
+    # evaluates through _line_values, refinement one point at a time.
+    points = []
+    evaluate = zerodist._line_values
+
+    def counted(ts):
+        points.append(len(ts))
+        return evaluate(ts)
+
+    monkeypatch.setattr(zerodist, "_line_values", counted)
+    reference = ZeroList.read(REFERENCE).ordinates
+    zeros = find_zeros(965.0)
+    assert len(zeros) == np.count_nonzero(reference < 965.0)
+    assert sum(points) <= 641
+
+
+def test_scan_falls_back_to_gram_blocks(monkeypatch):
+    # with no dip to probe, every round halves Gram blocks, and the scan
+    # still closes against N(t_max)
+    monkeypatch.setattr(zerodist, "_dips", lambda ts, gs: (np.zeros(0, dtype=int), np.zeros(0)))
+    reference = ZeroList.read(REFERENCE).ordinates
+    zeros = find_zeros(500.0)
+    expected = reference[reference < 500.0]
+    assert len(zeros) == len(expected)
+    assert float(np.max(np.abs(zeros.ordinates - expected))) <= 1e-11
 
 
 def test_newton_stop_rule_bound():
@@ -217,9 +252,9 @@ def test_refinement_bisects_a_step_that_leaves_the_bracket():
 
 def test_find_zeros_cluster_error(monkeypatch):
     # below 500 the grid alone falls short of N(t_max); with a width floor
-    # above the grid spacing (about 1.4 there) the first halving is refused
+    # above the grid spacing (about 1.4 there) the first split is refused
     monkeypatch.setattr(zerodist, "_MIN_WIDTH", 2.0)
-    with pytest.raises(ClusterError, match="halved down to"):
+    with pytest.raises(ClusterError, match="split down to"):
         find_zeros(500.0)
 
 
