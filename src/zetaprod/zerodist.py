@@ -3,7 +3,7 @@
 The ordinates k_l with xi_z(i k_l) = 0 are found by a sign scan of the
 real-valued restriction of xi to the line, on the grid where the smooth
 curve crosses whole numbers, closed by the exact count N(t_max), then
-refined by Newton's method on log xi inside each bracket.  The
+refined inside each bracket by quintic Hermite restarts on log xi.  The
 smooth side is the curve phi(k) = (k/2pi) ln(k/2pi) - k/2pi + 7/8, its
 root a, and the term bundles T4 and T5 that the transform of the smooth
 density produces; the residual operation measures what is left of the
@@ -255,34 +255,70 @@ def _dips(ts: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, ts[i] + h[i] * x[i]
 
 
+def _quintic_root(nodes: list, lo: float, hi: float, positive_lo: bool) -> float:
+    """Root in (lo, hi) of the quintic Hermite interpolant p through three
+    nodes (t, g, dg), oldest first, the newest one an end of (lo, hi).
+
+    p is in divided-difference form, newest node first.  Newton steps on p
+    start there, so the first is Newton's step on g; each keeps the end
+    where p has the sign ``positive_lo`` gives g at lo, one that would
+    leave the bracket bisects it instead, and they end where the next step
+    would be at most 1e-9, far below how close p comes to g's zero.
+    """
+    (c, fc, dc), (b, fb, db), (a, fa, da) = nodes
+    ab, bc, ac = b - a, c - b, c - a
+    s1, s2 = (fb - fa) / ab, (fc - fb) / bc
+    aab, abb, bbc, bcc = (s1 - da) / ab, (db - s1) / ab, (s2 - db) / bc, (dc - s2) / bc
+    aabb, abbc, bbcc = (abb - aab) / ab, (bbc - abb) / ac, (bcc - bbc) / bc
+    aabbc = (abbc - aabb) / ac
+    aabbcc = ((bbcc - abbc) / ac - aabbc) / ac
+    x, p, dp = a, fa, da
+    for _ in range(12):
+        lo, hi = (x, hi) if (p > 0) == positive_lo else (lo, x)
+        step = -p / dp if dp else hi - lo
+        if abs(step) <= 1e-9:
+            break
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        u, v = x - a, x - b
+        q4 = aabbc + (x - c) * aabbcc
+        q3, e3 = aabb + v * q4, q4 + v * aabbcc
+        q2, e2 = aab + v * q3, q3 + v * e3
+        q1, e1 = da + u * q2, q2 + u * e2
+        p, dp = fa + u * q1, q1 + u * e1
+    return x
+
+
 def _bisect_sign_change(lo: float, g_lo: float, d_lo: float,
                         hi: float, g_hi: float, d_hi: float) -> float:
     """Root of _line_value in (lo, hi), where g_lo and g_hi differ in sign.
 
-    Newton's method on g, safeguarded by the bracket: it starts at
-    :func:`_newton_start`, each evaluation replaces the end of the same
-    sign, and a step that would leave the bracket bisects it instead.
-    Stops after a step d with |d| <= 1e-6 and returns the point it reaches:
-    with C = |g''/2g'| at most 3.1 at the zeros below 1000, that point is
-    within C d^2 <= 3.1e-12 of the zero.  Near the zero g' is rounding
-    noise, so it only ever aims a step the bracket checks; should such
-    steps keep bisecting, a bracket 1e-12 wide ends the loop.  The name is
-    the one bench/tracing.py wraps to count refinement evaluations.
+    Starts at :func:`_newton_start`; each evaluation replaces the end of the
+    same sign, and restarts at the root of the quintic through the newest
+    point and the two nodes before it (:func:`_quintic_root`), about two
+    evaluations a zero.  Stops after a Newton step d with |d| (|d| + w) <=
+    (8e-7)^2: with C = |g''/2g'| at most 3.1 at the zeros below 1000, the
+    point it reaches is within C |d| (|d| + w) <= 2e-12 of the zero.  The
+    slope is g' (w = 0) unless g' is more than half off the chord to the
+    newest earlier node (w away): within about 1e-12 of a zero, where
+    restarts can land, g' is rounding noise.  A bracket 1e-12 wide also ends
+    the loop.  The name is the one bench/tracing.py wraps to count
+    refinement evaluations.
     """
+    nodes = [(lo, g_lo, d_lo), (hi, g_hi, d_hi)]
     t = _newton_start(lo, g_lo, d_lo, hi, g_hi, d_hi)
+    t = t if lo < t < hi else 0.5 * (lo + hi)  # rounding can put it on an end
     while hi - lo > 1e-12:
         g, dg = _line_value(t)
-        if (g > 0) == (g_lo > 0):
-            lo = t
-        else:
-            hi = t
-        step = -g / dg
-        if not lo < t + step < hi:
-            t = 0.5 * (lo + hi)
-        elif abs(step) <= 1e-6:
+        lo, hi = (t, hi) if (g > 0) == (g_lo > 0) else (lo, t)
+        near, g_near, _ = nodes[-1]
+        chord = (g - g_near) / (t - near)
+        slope, width = (dg, 0.0) if abs(dg - chord) <= 0.5 * abs(chord) else (chord, abs(t - near))
+        step = -g / slope
+        if abs(step) * (abs(step) + width) <= 6.4e-13 and lo <= t + step <= hi:
             return t + step
-        else:
-            t += step
+        nodes.append((t, g, dg))
+        x = _quintic_root(nodes[-3:], lo, hi, g_lo > 0)
+        t = x if x != t else 0.5 * (lo + hi)
     return t
 
 
@@ -362,11 +398,12 @@ def find_zeros(t_max: float) -> ZeroList:
     probes the dips of the cubic through the scan's values and slopes, and
     halves Gram blocks only in a round with no dip to probe; an interval
     that would need splitting below ``_MIN_WIDTH`` raises
-    :class:`ClusterError`.  Each sign change is then refined by bracketed
-    Newton steps on the rescaled real xi, started at the root of the same
-    cubic (see :func:`_bisect_sign_change`), about 2.9 evaluations per
-    zero; the returned ordinates lie within 1e-11 of the true zeros.  A
-    t_max within rounding of an ordinate raises :class:`ProximityError`.
+    :class:`ClusterError`.  Each sign change is then refined on the
+    rescaled real xi from the root of the same cubic, restarting at the
+    root of the quintic Hermite interpolant through the last three points
+    (see :func:`_bisect_sign_change`), about 2.2 evaluations per zero; the
+    returned ordinates lie within 1e-11 of the true zeros.  A t_max within
+    rounding of an ordinate raises :class:`ProximityError`.
     """
     if not (t_max > 14):
         raise DomainError(f"t_max must exceed 14, got {t_max!r}")

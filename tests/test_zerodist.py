@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaprod import zerodist
 from zetaprod.errors import (
@@ -141,10 +144,16 @@ def test_find_zeros_matches_literature(scan100, literature_zeros):
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "data" / "zeros_t1000.txt"
 
 
+@functools.cache
+def _reference_ordinates() -> np.ndarray:
+    return ZeroList.read(REFERENCE).ordinates
+
+
 def _count_evaluations(monkeypatch) -> dict[str, int]:
-    """Count xi evaluations on the line (scan plus refinement) and zeta
-    samples of the zero count N(t_max) that find_zeros makes from here on."""
-    calls = {"line": 0, "count": 0}
+    """Count xi evaluations on the line (scan plus refinement), those of
+    them made refining, and zeta samples of the zero count N(t_max) that
+    find_zeros makes from here on."""
+    calls = {"line": 0, "refine": 0, "count": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -152,18 +161,30 @@ def _count_evaluations(monkeypatch) -> dict[str, int]:
             return fn(*args)
         return wrapper
 
+    refine = zerodist._bisect_sign_change
+
+    def refine_counted(*bracket):
+        before = calls["line"]
+        root = refine(*bracket)
+        calls["refine"] += calls["line"] - before
+        return root
+
     monkeypatch.setattr(zerodist, "_log_xi_terms", counted("line", zerodist._log_xi_terms))
     monkeypatch.setattr(zerodist, "zeta", counted("count", zerodist.zeta))
+    monkeypatch.setattr(zerodist, "_bisect_sign_change", refine_counted)
     return calls
 
 
 def test_find_zeros_matches_reference_to_1000(monkeypatch):
+    # 1,421 of the 2,093 line evaluations refine the 649 brackets, and the
+    # stop rule leaves at most 2e-12 (see zerodist._bisect_sign_change)
     expected = ZeroList.read(REFERENCE).ordinates
     calls = _count_evaluations(monkeypatch)
     zeros = find_zeros(1000.0)
     assert len(zeros) == len(expected) == 649
-    assert float(np.max(np.abs(zeros.ordinates - expected))) <= 1e-11
-    assert calls["line"] <= 2554
+    assert float(np.max(np.abs(zeros.ordinates - expected))) <= 2e-12
+    assert calls["line"] <= 2093
+    assert calls["refine"] <= 2.25 * len(zeros)
 
 
 def test_find_zeros_matches_reference_at_seeded_heights():
@@ -182,16 +203,16 @@ def test_find_zeros_matches_reference_at_seeded_heights():
 
 
 def test_find_zeros_evaluation_counts(monkeypatch):
-    # deterministic cost gate: for find_zeros(100), 30 grid points and 92
+    # deterministic cost gate: for find_zeros(100), 30 grid points and 76
     # refinement steps for 29 zeros on the line, 17 samples for N(t_max);
-    # for find_zeros(500), 277 scan points and 788 refinement steps
+    # for find_zeros(500), 277 scan points and 599 refinement steps
     calls = _count_evaluations(monkeypatch)
     assert len(find_zeros(100.0)) == 29
-    assert calls["line"] <= 122
+    assert calls["line"] <= 106
     assert calls["count"] <= 17
     calls["line"] = 0
     assert len(find_zeros(500.0)) == 269
-    assert calls["line"] <= 1065
+    assert calls["line"] <= 876
 
 
 def test_scan_probes_hermite_dips(monkeypatch):
@@ -225,16 +246,17 @@ def test_scan_falls_back_to_gram_blocks(monkeypatch):
 
 def test_newton_stop_rule_bound():
     # After a Newton step d the error is about C d^2, C = |g''/2g'| at the
-    # zero; refinement stops after |d| <= 1e-6.  g' and g'' come from the
-    # analytic slope 1e-3 either side of each zero: at the zero itself
-    # zeta'/zeta is rounding noise.  Worst: 3.09, at 630.474.
+    # zero; refinement stops after |d| <= 8e-7, which leaves at most 2e-12.
+    # g' and g'' come from the analytic slope 1e-3 either side of each zero:
+    # at the zero itself zeta'/zeta is rounding noise.  Worst: 3.09, at
+    # 630.474.
     h = 1e-3
     worst = 0.0
     for k in ZeroList.read(REFERENCE).ordinates.tolist():
         d_minus = zerodist._line_value(k - h)[1]
         d_plus = zerodist._line_value(k + h)[1]
         worst = max(worst, abs((d_plus - d_minus) / (2 * h) / (d_plus + d_minus)))
-    assert worst * 1e-6 ** 2 <= 1e-11
+    assert worst * 8e-7 ** 2 <= 2e-12
 
 
 def test_refinement_bisects_a_step_that_leaves_the_bracket():
@@ -248,6 +270,36 @@ def test_refinement_bisects_a_step_that_leaves_the_bracket():
     assert not lo < start - g / dg < hi
     root = zerodist._bisect_sign_change(lo, g_lo, 0.0, hi, g_hi, 500.0)
     assert abs(root - ZeroList.read(REFERENCE).ordinates[0]) <= 1e-11
+
+
+@pytest.mark.parametrize("start", [0.0, 0.4], ids=["on-the-zero", "on-the-bracket-end"])
+def test_refinement_from_an_exact_start(monkeypatch, start):
+    # A point that lands on a zero: there g' = g (pi/4 - Im L') is rounding
+    # noise, 0.056 at the 54th zero where the slope is about 1.15e4, and a
+    # Newton step on it ended 1.31e-11 off; the chord to the node before
+    # gives the certificate step a slope it can trust.  A cubic start
+    # lo + h x with 0 < x < 1 can also round onto the end hi.
+    z = float(_reference_ordinates()[53])
+    assert abs(zerodist._line_value(z)[1]) < 1.0
+    monkeypatch.setattr(zerodist, "_newton_start", lambda *bracket: z + start)
+    lo, hi = z - 0.3, z + 0.4
+    root = zerodist._bisect_sign_change(lo, *zerodist._line_value(lo), hi, *zerodist._line_value(hi))
+    assert abs(root - z) <= 1e-11
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 648), st.floats(1e-6, 0.999), st.floats(1e-6, 0.999))
+def test_refinement_from_any_bracket_around_a_zero(i, u, v):
+    # brackets [z - a, z + b] no scan draws: asymmetric, narrow, or reaching
+    # almost to the neighbouring zeros (10 and 1000 past the end ones)
+    zeros = _reference_ordinates()
+    z = float(zeros[i])
+    below = float(zeros[i - 1]) if i else 10.0
+    above = float(zeros[i + 1]) if i + 1 < len(zeros) else 1000.0
+    lo, hi = z - u * (z - below), z + v * (above - z)
+    bracket = (lo, *zerodist._line_value(lo), hi, *zerodist._line_value(hi))
+    assert (bracket[1] > 0) != (bracket[4] > 0)
+    assert abs(zerodist._bisect_sign_change(*bracket) - z) <= 1e-11
 
 
 def test_find_zeros_cluster_error(monkeypatch):
