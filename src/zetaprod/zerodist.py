@@ -193,17 +193,35 @@ class ZeroList:
         return cls._parse(text.splitlines(), None)
 
 
-def _line_value(t: float) -> tuple[float, float]:
-    """g(t) = xi_z(it) * exp(pi t / 4) and dg/dt: real, smooth, with the sign
-    of xi on the line.
+#: Most points one call of the array kernel evaluates: the scan's points in
+#: order, or the next points of as many brackets refined in lockstep.  For
+#: find_zeros(990.92), blocks of 16 to 48 were slower, and 96 to 256 no faster.
+_BLOCK = 64
+
+
+def _line_values(ts: np.ndarray) -> np.ndarray:
+    """g(t) = xi_z(it) * exp(pi t / 4) and dg/dt at each t of ts, one row
+    (g, dg/dt) per t: real, smooth, with the sign of xi on the line.
 
     Built from the log form L = log xi, so both stay finite where xi itself
     underflows; the factor exp(pi t / 4) cancels the decay of the gamma
-    factor, and dg/dt = g (pi/4 - Im L').
+    factor, and dg/dt = g (pi/4 - Im L').  L comes from one call of the
+    array kernel _log_xi_terms per block of at most _BLOCK points.
     """
-    log_xi, slope = _log_xi_terms(complex(0.5, t))
-    g = math.cos(log_xi.imag) * math.exp(log_xi.real + 0.25 * PI * t)
-    return g, g * (0.25 * PI - slope.imag)
+    ts = np.asarray(ts, dtype=float)
+    rows = np.empty((len(ts), 2))
+    for i in range(0, len(ts), _BLOCK):
+        t = ts[i:i + _BLOCK]
+        log_xi, slope = _log_xi_terms(0.5 + 1j * t)
+        g = np.cos(log_xi.imag) * np.exp(log_xi.real + 0.25 * PI * t)
+        rows[i:i + _BLOCK, 0] = g
+        rows[i:i + _BLOCK, 1] = g * (0.25 * PI - slope.imag)
+    return rows
+
+
+def _line_value(t: float) -> tuple[float, float]:
+    """(g, dg/dt) at one t: see :func:`_line_values`."""
+    return tuple(_line_values([t])[0].tolist())
 
 
 def _hermite(lo, g_lo, d_lo, hi, g_hi, d_hi):
@@ -217,20 +235,30 @@ def _hermite(lo, g_lo, d_lo, hi, g_hi, d_hi):
     return h, a1, a2, a3
 
 
-def _newton_start(lo: float, g_lo: float, d_lo: float, hi: float, g_hi: float, d_hi: float) -> float:
-    """Root in (lo, hi) of the cubic Hermite interpolant through both ends.
+def _newton_start(lo, g_lo, d_lo, hi, g_hi, d_hi):
+    """Root in (lo, hi) of the cubic Hermite interpolant through both ends;
+    scalars or arrays, one root per bracket.
 
-    Three Newton steps on the cubic from the chord's root; a step that
-    leaves the bracket ends them where they stand.
+    Newton steps on the cubic in x = (t - lo) / h from the chord's root, all
+    brackets at once; each step keeps the end where the cubic has the sign
+    of g_lo, one that would leave that interval bisects it instead, and a
+    bracket's steps end where its next would be at most 1e-9.
     """
     h, a1, a2, a3 = _hermite(lo, g_lo, d_lo, hi, g_hi, d_hi)
     x = g_lo / (g_lo - g_hi)
-    for _ in range(3):
+    x_lo, x_hi = np.zeros_like(x), np.ones_like(x)
+    positive, done = g_lo > 0, np.zeros_like(x, dtype=bool)
+    for _ in range(40):
         p = g_lo + x * (a1 + x * (a2 + x * a3))
         dp = a1 + x * (2 * a2 + 3 * x * a3)
-        if dp == 0 or not 0 < x - p / dp < 1:
+        right = (p > 0) == positive
+        x_lo, x_hi = np.where(right, x, x_lo), np.where(right, x_hi, x)
+        new = x - p / np.where(dp == 0, 1.0, dp)
+        done = done | ((dp != 0) & (np.abs(new - x) <= 1e-9))
+        if done.all():
             break
-        x -= p / dp
+        new = np.where((dp != 0) & (x_lo < new) & (new < x_hi), new, 0.5 * (x_lo + x_hi))
+        x = np.where(done, x, new)
     return lo + h * x
 
 
@@ -288,27 +316,14 @@ def _quintic_root(nodes: list, lo: float, hi: float, positive_lo: bool) -> float
     return x
 
 
-def _bisect_sign_change(lo: float, g_lo: float, d_lo: float,
-                        hi: float, g_hi: float, d_hi: float) -> float:
-    """Root of _line_value in (lo, hi), where g_lo and g_hi differ in sign.
-
-    Starts at :func:`_newton_start`; each evaluation replaces the end of the
-    same sign, and restarts at the root of the quintic through the newest
-    point and the two nodes before it (:func:`_quintic_root`), about two
-    evaluations a zero.  Stops after a Newton step d with |d| (|d| + w) <=
-    (8e-7)^2: with C = |g''/2g'| at most 3.1 at the zeros below 1000, the
-    point it reaches is within C |d| (|d| + w) <= 2e-12 of the zero.  The
-    slope is g' (w = 0) unless g' is more than half off the chord to the
-    newest earlier node (w away): within about 1e-12 of a zero, where
-    restarts can land, g' is rounding noise.  A bracket 1e-12 wide also ends
-    the loop.  The name is the one bench/tracing.py wraps to count
-    refinement evaluations.
-    """
+def _refine(lo: float, g_lo: float, d_lo: float, hi: float, g_hi: float, d_hi: float, t: float):
+    """The refinement of one bracket from the start t, as a generator: it
+    yields each point to evaluate, is sent (g, dg) there, and returns the
+    root (see :func:`_bisect_sign_change`)."""
     nodes = [(lo, g_lo, d_lo), (hi, g_hi, d_hi)]
-    t = _newton_start(lo, g_lo, d_lo, hi, g_hi, d_hi)
     t = t if lo < t < hi else 0.5 * (lo + hi)  # rounding can put it on an end
     while hi - lo > 1e-12:
-        g, dg = _line_value(t)
+        g, dg = yield t
         lo, hi = (t, hi) if (g > 0) == (g_lo > 0) else (lo, t)
         near, g_near, _ = nodes[-1]
         chord = (g - g_near) / (t - near)
@@ -322,9 +337,42 @@ def _bisect_sign_change(lo: float, g_lo: float, d_lo: float,
     return t
 
 
-def _line_values(ts: np.ndarray) -> np.ndarray:
-    """_line_value at each t of ts, one row (g, dg/dt) per t."""
-    return np.array([_line_value(t) for t in ts.tolist()], dtype=float)
+def _bisect_sign_change(lo, g_lo, d_lo, hi, g_hi, d_hi):
+    """Roots of g = _line_values in the brackets (lo, hi), where g_lo and
+    g_hi differ in sign: six scalars give one root, six columns of at most
+    _BLOCK brackets an array of them.
+
+    The brackets are refined in lockstep.  Each starts at
+    :func:`_newton_start`; in each round every unfinished bracket proposes
+    its next point and one call of :func:`_line_values` evaluates them all.
+    Each evaluation replaces the end of the same sign, and the next point is
+    the root of the quintic through the newest point and the two nodes
+    before it (:func:`_quintic_root`), about two evaluations a zero.  A
+    bracket stops after a Newton step d with |d| (|d| + w) <= (8e-7)^2:
+    with C = |g''/2g'| at most 3.1 at the zeros below 1000, the point it
+    reaches is within C |d| (|d| + w) <= 2e-12 of the zero.  The slope is
+    g' (w = 0) unless g' is more than half off the chord to the newest
+    earlier node (w away): within about 1e-12 of a zero, where restarts can
+    land, g' is rounding noise.  A bracket 1e-12 wide also stops.  The name
+    is the one bench/tracing.py wraps to count refinement evaluations.
+    """
+    cols = np.atleast_1d(lo, g_lo, d_lo, hi, g_hi, d_hi)
+    starts = np.atleast_1d(_newton_start(*cols))
+    roots = np.empty(len(starts))
+    live = list(enumerate(_refine(*row) for row in zip(*(c.tolist() for c in (*cols, starts)))))
+    values = [None] * len(live)
+    while live:
+        ts, still = [], []
+        for (i, refining), value in zip(live, values):
+            try:
+                ts.append(refining.send(value))
+                still.append((i, refining))
+            except StopIteration as stop:
+                roots[i] = stop.value
+        live = still
+        if live:
+            values = _line_values(np.array(ts)).tolist()
+    return float(roots[0]) if np.ndim(lo) == 0 else roots
 
 
 #: Narrowest scan interval the sign scan splits.  The grid intervals are
@@ -401,17 +449,19 @@ def find_zeros(t_max: float) -> ZeroList:
     :class:`ClusterError`.  Each sign change is then refined on the
     rescaled real xi from the root of the same cubic, restarting at the
     root of the quintic Hermite interpolant through the last three points
-    (see :func:`_bisect_sign_change`), about 2.2 evaluations per zero; the
-    returned ordinates lie within 1e-11 of the true zeros.  A t_max within
-    rounding of an ordinate raises :class:`ProximityError`.
+    (see :func:`_bisect_sign_change`), about 2.2 points per zero, in blocks
+    of _BLOCK brackets refined in lockstep; the returned ordinates lie
+    within 2e-12 of the true zeros.  Both phases evaluate xi on the line in
+    arrays of at most _BLOCK points.  A t_max within rounding of an ordinate
+    raises :class:`ProximityError`.
     """
     if not (t_max > 14):
         raise DomainError(f"t_max must exceed 14, got {t_max!r}")
     if t_max > 1000:
         raise RangeError("find_zeros supports t_max <= 1000")
     brackets = _sign_scan(t_max, _zero_count(t_max))
-    roots = [_bisect_sign_change(*row) for row in brackets.tolist()]
-    return ZeroList(np.asarray(roots, dtype=float), t_max=t_max)
+    blocks = np.split(brackets, range(_BLOCK, len(brackets), _BLOCK))
+    return ZeroList(np.concatenate([_bisect_sign_change(*block.T) for block in blocks]), t_max=t_max)
 
 
 class ResidualSample(NamedTuple):

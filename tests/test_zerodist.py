@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
 import mpmath as mp
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaprod import zerodist
+from zetaprod import specfun, zerodist
 from zetaprod.errors import (
     ClusterError,
     ConvergenceError,
@@ -150,15 +151,16 @@ def _reference_ordinates() -> np.ndarray:
 
 
 def _count_evaluations(monkeypatch) -> dict[str, int]:
-    """Count xi evaluations on the line (scan plus refinement), those of
-    them made refining, and zeta samples of the zero count N(t_max) that
-    find_zeros makes from here on."""
+    """Count the points at which find_zeros evaluates xi on the line from
+    here on (scan plus refinement; one call of the kernel takes an array of
+    them), those of them made refining, and the zeta samples of the zero
+    count N(t_max)."""
     calls = {"line": 0, "refine": 0, "count": 0}
 
     def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+        def wrapper(s):
+            calls[name] += np.size(s)
+            return fn(s)
         return wrapper
 
     refine = zerodist._bisect_sign_change
@@ -176,15 +178,15 @@ def _count_evaluations(monkeypatch) -> dict[str, int]:
 
 
 def test_find_zeros_matches_reference_to_1000(monkeypatch):
-    # 1,421 of the 2,093 line evaluations refine the 649 brackets, and the
+    # 1,399 of the 2,071 points on the line refine the 649 brackets, and the
     # stop rule leaves at most 2e-12 (see zerodist._bisect_sign_change)
     expected = ZeroList.read(REFERENCE).ordinates
     calls = _count_evaluations(monkeypatch)
     zeros = find_zeros(1000.0)
     assert len(zeros) == len(expected) == 649
     assert float(np.max(np.abs(zeros.ordinates - expected))) <= 2e-12
-    assert calls["line"] <= 2093
-    assert calls["refine"] <= 2.25 * len(zeros)
+    assert calls["line"] <= 2071
+    assert calls["refine"] <= 2.16 * len(zeros)
 
 
 def test_find_zeros_matches_reference_at_seeded_heights():
@@ -203,34 +205,108 @@ def test_find_zeros_matches_reference_at_seeded_heights():
 
 
 def test_find_zeros_evaluation_counts(monkeypatch):
-    # deterministic cost gate: for find_zeros(100), 30 grid points and 76
-    # refinement steps for 29 zeros on the line, 17 samples for N(t_max);
-    # for find_zeros(500), 277 scan points and 599 refinement steps
+    # deterministic cost gate, in points on the line: for find_zeros(100),
+    # 30 grid points and 76 refinement points for 29 zeros, and 17 samples
+    # for N(t_max); for find_zeros(500), 277 scan and 590 refinement points
     calls = _count_evaluations(monkeypatch)
     assert len(find_zeros(100.0)) == 29
     assert calls["line"] <= 106
     assert calls["count"] <= 17
     calls["line"] = 0
     assert len(find_zeros(500.0)) == 269
-    assert calls["line"] <= 876
+    assert calls["line"] <= 867
+
+
+def _scalar_line_value(t: float) -> tuple[float, float]:
+    """(g, dg/dt) from the scalar path of _log_xi_terms, one point at a time."""
+    log_xi, slope = specfun._log_xi_terms(complex(0.5, t))
+    g = math.cos(log_xi.imag) * math.exp(log_xi.real + 0.25 * math.pi * t)
+    return g, g * (0.25 * math.pi - slope.imag)
+
+
+def _mp_line_value(t: float) -> tuple[float, float]:
+    """(g, dg/dt) from mpmath: xi and xi' at 1/2 + it, scaled by exp(pi t / 4)."""
+    with mp.workdps(30):
+        s = mp.mpc(0.5, t)
+        head = s * (s - 1) / 2 * mp.power(mp.pi, -s / 2) * mp.gamma(s / 2)
+        zeta, dzeta = mp.zeta(s), mp.zeta(s, derivative=1)
+        dlog_head = 1 / s + 1 / (s - 1) - mp.log(mp.pi) / 2 + mp.digamma(s / 2) / 2
+        xi, dxi = head * zeta, head * (zeta * dlog_head + dzeta)
+        scale = mp.exp(mp.pi * t / 4)
+        return float(mp.re(xi) * scale), float((mp.pi / 4 * mp.re(xi) - mp.im(dxi)) * scale)
+
+
+def test_line_values_match_the_scalar_kernel_and_mpmath():
+    # 1,024 points: 32 below t = 24, where log-gamma shifts more than once,
+    # 928 in order, evaluated in blocks of neighbours, and a last block of 64
+    # spread over [10, 1000] in random order, whose points alone would take
+    # cutoffs N from 20 to 510.  log xi is ill-conditioned near a zero, so g
+    # and g' are compared against the local size |g| + |g'| / log t of the
+    # oscillation, and g' against log t times it.  mpmath checks every 16th.
+    rng = np.random.default_rng(20261019)
+    ts = np.concatenate((np.linspace(10.0, 24.0, 32), np.sort(rng.uniform(24.0, 1000.0, 928)),
+                         rng.permutation(np.geomspace(10.0, 1000.0, 64))))
+    rows = zerodist._line_values(ts)
+    log_t = np.log(ts)
+
+    def worst(reference, rows, log_t):
+        size = np.abs(reference[:, 0]) + np.abs(reference[:, 1]) / log_t
+        return max(float(np.max(np.abs(rows[:, 0] - reference[:, 0]) / size)),
+                   float(np.max(np.abs(rows[:, 1] - reference[:, 1]) / (size * log_t))))
+
+    assert rows.shape == (1024, 2)
+    assert worst(np.array([_scalar_line_value(t) for t in ts.tolist()]), rows, log_t) <= 5e-12
+    oracle = np.array([_mp_line_value(t) for t in ts[::16].tolist()])
+    assert worst(oracle, rows[::16], log_t[::16]) <= 5e-12
+
+
+def test_line_kernel_takes_arrays_only_on_the_critical_line():
+    with pytest.raises(DomainError):
+        specfun._log_xi_terms(np.array([0.5 + 20j, 0.7 + 20j]))
+    with pytest.raises(RangeError):
+        specfun._log_xi_terms(np.array([0.5 + 20j, 0.5 + 1200j]))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_find_zeros_does_not_depend_on_the_block_size(monkeypatch, block):
+    # blocks of one point evaluate the scan and refine the brackets one at a
+    # time; blocks of 7 split both at points no default block ends on
+    monkeypatch.setattr(zerodist, "_BLOCK", block)
+    zeros = find_zeros(500.0)
+    expected = _reference_ordinates()[_reference_ordinates() < 500.0]
+    assert len(zeros) == len(expected)
+    assert float(np.max(np.abs(zeros.ordinates - expected))) <= 2e-12
+
+
+def test_printed_ordinates_are_rounded_from_within_2e_12():
+    # find_zeros leaves at most 2e-12, so the 10 printed decimals are the
+    # correctly rounded ones at the 625 zeros below 1000 that lie farther
+    # than that from a rounding boundary; at the other 24 either neighbour
+    # may print.  564.50605593814983512 lies 1.6e-13 below a boundary.
+    lines = REFERENCE.read_text(encoding="utf-8").splitlines()
+    reference = [Decimal(line) for line in lines if line and not line.startswith("#")]
+    printed = [Decimal(line) for line in find_zeros(1000.0).to_text().splitlines()[2:]]
+    assert len(printed) == len(reference) == 649
+    far = 0
+    for shown, exact in zip(printed, reference):
+        rounded = exact.quantize(Decimal("1e-10"), rounding=ROUND_HALF_EVEN)
+        if abs(abs(exact - rounded) - Decimal("5e-11")) > Decimal("2e-12"):
+            far += 1
+            assert shown == rounded, exact
+        else:
+            assert abs(shown - exact) <= Decimal("5.2e-11"), exact
+    assert far == 625
 
 
 def test_scan_probes_hermite_dips(monkeypatch):
     # halving Gram blocks took three rounds and 1,206 scan points to close
-    # N(965); one round of probing the dips closes it with 641.  The scan
-    # evaluates through _line_values, refinement one point at a time.
-    points = []
-    evaluate = zerodist._line_values
-
-    def counted(ts):
-        points.append(len(ts))
-        return evaluate(ts)
-
-    monkeypatch.setattr(zerodist, "_line_values", counted)
+    # N(965); one round of probing the dips closes it with 641.  Scan points
+    # are the points on the line not evaluated inside the refinement.
+    calls = _count_evaluations(monkeypatch)
     reference = ZeroList.read(REFERENCE).ordinates
     zeros = find_zeros(965.0)
     assert len(zeros) == np.count_nonzero(reference < 965.0)
-    assert sum(points) <= 641
+    assert calls["line"] - calls["refine"] <= 641
 
 
 def test_scan_falls_back_to_gram_blocks(monkeypatch):
