@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError, RangeError
+from .errors import ConvergenceError, DomainError, PoleError, RangeError
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -67,6 +67,12 @@ def _em_coefficients():
 
 
 _EM_COEF = _em_coefficients()
+
+# B_2k / (2k)! for k = 1 .. 40, for the array kernel's shorter head: those of
+# _EM_COEF, then (-1)^(k+1) 2 zeta(2k) / (2 pi)^2k with zeta(2k) to four terms.
+_EM_LINE = np.array([c for c, _ in _EM_COEF] + [
+    (-1) ** (k + 1) * 2 * (1 + 2.0 ** (-2 * k) + 3.0 ** (-2 * k) + 4.0 ** (-2 * k)) / TWO_PI ** (2 * k)
+    for k in range(len(_EM_COEF) + 1, 41)])
 
 # Stieltjes constants gamma_0 .. gamma_4 for the Laurent expansion at s = 1.
 _STIELTJES = (
@@ -123,6 +129,9 @@ def _zeta_em(s: complex, slope: bool = False):
         bpow /= n_sq
         if slope:
             dlog += (2 * s + 2 * two_k - 1) / rise
+    else:  # out of _EM_COEF: see _series
+        if not abs(term) < 1e-16 * max(abs(tot), 1.0):
+            raise ConvergenceError(f"Euler-Maclaurin zeta at s = {s:g} ran past B_30")
     return (tot, dtot) if slope else tot
 
 
@@ -225,6 +234,9 @@ def _log_gamma_any(a: complex, slope: bool = False):
         if abs(term) < 1e-16 * abs(tot):
             break
         inv *= inv2
+    else:  # out of _STIRLING: see _series
+        if not abs(term) < 1e-16 * max(abs(tot), 1.0):
+            raise ConvergenceError(f"Stirling series at a = {a:g} ran past B_30")
     return (tot - shift, dtot - dshift) if slope else tot - shift
 
 
@@ -319,6 +331,32 @@ def _log_xi_terms(s: complex | np.ndarray) -> tuple:
     return value, (slope if s.real >= 0.5 else -slope)
 
 
+def _accumulate(ufunc, first, rest, width: int) -> np.ndarray:
+    """ufunc.accumulate along each row of [first | rest], with first a column of
+    points and rest broadcast to the other width - 1 columns: a scalar loop's
+    running product, quotient or sum, in its order, so with its rounding."""
+    cols = np.empty((len(first), width), dtype=complex)
+    cols[:, 0] = first
+    cols[:, 1:] = rest
+    return ufunc.accumulate(cols, axis=1, out=cols)
+
+
+def _series(tot, terms, dtot, dterms) -> tuple[np.ndarray, np.ndarray]:
+    """tot plus the columns of terms, and dtot plus those of dterms, up to the
+    first column at which every point's term is below 1e-16 of its running
+    total, or else the last, as the scalar loops sum them.  A last term not
+    below 1e-16 of the larger of 1 and its total means the table ran out
+    first: :class:`ConvergenceError`.  The floor 1, zeta's leading term,
+    lets a series end at a zero of zeta, where the total is rounding."""
+    width = terms.shape[1]
+    sums = _accumulate(np.add, tot, terms, width + 1)[:, 1:]
+    done = np.all(np.abs(terms) < 1e-16 * np.abs(sums), axis=0)
+    k = int(np.argmax(done)) if done.any() else width - 1
+    if not np.all(np.abs(terms[:, k]) < 1e-16 * np.maximum(np.abs(sums[:, k]), 1.0)):
+        raise ConvergenceError(f"a series on the critical line ran past its {width} terms")
+    return sums[:, k], _accumulate(np.add, dtot, dterms[:, :k + 1], k + 2)[:, -1]
+
+
 def _log_xi_line(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_log_xi_terms at each point of s, all on the critical line: the scalar
     passes as array arithmetic.
@@ -327,9 +365,15 @@ def _log_xi_line(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     place a slice of columns at a time, with one cutoff N for all points
     taken from the largest |t|: a larger N only shrinks a point's
     Euler-Maclaurin remainder.  The log-gamma shift is masked to the points
-    that still need it; the Stirling and Bernoulli series stop once every
-    point's term is below 1e-16 of its total.  Agrees with the scalar path
-    to rounding.
+    that still need it.  The Stirling and Bernoulli terms are (points x K)
+    arrays, summed as the scalar loops sum them (:func:`_series`).
+
+    The cutoff is N = |t|/4 + 10 with terms to B_80 (_EM_LINE), not |t|/2 + 10
+    with B_30 as in :func:`_zeta_em`: near |t| = 1000 the shorter head takes
+    about 40 terms, a few more columns of one array here but more rounds of a
+    Python loop there, which made the scalar path slower (ROADMAP item 4).
+    Agrees with the scalar path to about 1e-12.  Callers pass at most 64
+    points, so no array here exceeds _HEAD_ENTRIES.
     """
     t_top = float(np.max(np.abs(s.imag)))
     if t_top > IM_MAX:
@@ -349,19 +393,14 @@ def _log_xi_line(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a[need] = low + 1
         need = np.abs(a) < 12.0
     log_a = np.log(a)
-    log_gamma = (a - 0.5) * log_a - a + 0.5 * LN_2PI
     rec = 1 / a
-    psi = log_a - 0.5 * rec
-    inv, inv2 = rec, rec * rec
-    for odd, c in enumerate(_STIRLING):
-        term = c * inv
-        log_gamma += term
-        psi -= (2 * odd + 1) * term * rec
-        if np.all(np.abs(term) < 1e-16 * np.abs(log_gamma)):
-            break
-        inv = inv * inv2
+    # the terms c_k a^(1 - 2k) of log-gamma; digamma takes -(2k - 1) c_k a^(-2k) each
+    terms = np.array(_STIRLING) * _accumulate(np.multiply, rec, (rec * rec)[:, None], len(_STIRLING))
+    odd = np.arange(1, 2 * len(_STIRLING), 2)
+    log_gamma, psi = _series((a - 0.5) * log_a - a + 0.5 * LN_2PI, terms,
+                             log_a - 0.5 * rec, -(odd * terms * rec[:, None]))
     # Euler-Maclaurin zeta and zeta' (see _zeta_em)
-    big_n = max(20, int(t_top / 2) + 10)
+    big_n = max(20, int(t_top / 4) + 10)
     tot, dtot = np.zeros_like(s), np.zeros_like(s)
     width = max(1, _HEAD_ENTRIES // len(s))
     for lo in range(0, big_n - 1, width):
@@ -376,19 +415,14 @@ def _log_xi_line(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     edge = 2 * big_n * half / (s - 1)
     tot += edge + half
     dtot -= edge * (log_n + 1 / (s - 1)) + log_n * half
-    dlog = 1 / s - log_n
-    poch, bpow = s, np.exp(-log_n * (s + 1))
-    n_sq = big_n * big_n
-    for coef, two_k in _EM_COEF:
-        term = coef * poch * bpow
-        tot += term
-        dtot += term * dlog
-        if np.all(np.abs(term) < 1e-16 * np.abs(tot)):
-            break
-        rise = (s + two_k - 1) * (s + two_k)
-        poch = poch * rise
-        bpow = bpow / n_sq
-        dlog += (2 * s + 2 * two_k - 1) / rise
+    # the rises (s + 2k - 1)(s + 2k) between terms k and k + 1 of the Pochhammer
+    # symbol s(s + 1)...(s + 2k - 2), each with its term of the log-derivative
+    two_k = np.arange(2, 2 * len(_EM_LINE), 2)
+    rise = (s[:, None] + two_k - 1) * (s[:, None] + two_k)
+    terms = (_EM_LINE * _accumulate(np.multiply, s, rise, len(_EM_LINE))
+             * _accumulate(np.divide, np.exp(-log_n * (s + 1)), big_n * big_n, len(_EM_LINE)))
+    dlog = _accumulate(np.add, 1 / s - log_n, (2 * s[:, None] + 2 * two_k - 1) / rise, len(_EM_LINE))
+    tot, dtot = _series(tot, terms, dtot, terms * dlog)
     u = s - 1
     value = (log_gamma - shift - (s / 2) * LN_PI) + np.log(u * tot)
     slope = 0.5 * (psi - dshift - LN_PI) + 1 / u + dtot / tot

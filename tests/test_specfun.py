@@ -7,6 +7,7 @@ import math
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -18,8 +19,10 @@ from zetaprod.errors import (
     PoleError,
     RangeError,
 )
+from zetaprod import specfun
 from zetaprod.specfun import (
     _EM_COEF,
+    _EM_LINE,
     _log_gamma_factor,
     _log_xi_terms,
     _s1_zeta,
@@ -34,6 +37,8 @@ from zetaprod.specfun import (
 )
 
 mp.mp.dps = 30
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "data" / "zeros_t1000.txt"
 
 
 def rel(x: complex, ref: complex) -> float:
@@ -157,11 +162,44 @@ def test_zeta_far_left_until_overflow():
 
 
 def test_em_coefficients_are_bernoulli_over_factorial():
-    for k, (coef, two_k) in enumerate(_EM_COEF, start=1):
+    # the scalar table to B_30, and the array kernel's to B_80, whose terms
+    # past B_30 come from zeta(2k) (within 3.2e-15)
+    assert len(_EM_LINE) == 40 and _EM_LINE[:15].tolist() == [coef for coef, _ in _EM_COEF]
+    for k, coef in enumerate(_EM_LINE.tolist(), start=1):
         num, den = mp.bernfrac(2 * k)
         exact = Fraction(int(num), int(den) * math.factorial(2 * k))
-        assert two_k == 2 * k
-        assert abs(Fraction(coef) - exact) <= Fraction(1, 10 ** 14) * abs(exact), two_k
+        assert k > len(_EM_COEF) or _EM_COEF[k - 1][1] == 2 * k
+        assert abs(Fraction(coef) - exact) <= Fraction(1, 10 ** 14) * abs(exact), 2 * k
+
+
+@pytest.mark.parametrize("table,call", [
+    ("_EM_COEF", lambda: zeta(complex(0.5, 500.0))),
+    ("_STIRLING", lambda: log_gamma(complex(3.0, 20.0))),
+    ("_EM_LINE", lambda: _log_xi_terms(np.array([0.5 + 500j]))),
+    ("_STIRLING", lambda: _log_xi_terms(np.array([0.5 + 500j]))),
+], ids=["zeta", "log_gamma", "line-zeta", "line-log_gamma"])
+def test_series_fail_when_their_table_runs_out(monkeypatch, table, call):
+    # two coefficients leave a term far above 1e-16 of the total
+    monkeypatch.setattr(specfun, table, getattr(specfun, table)[:2])
+    with pytest.raises(ConvergenceError, match="ran past"):
+        call()
+
+
+def test_series_end_within_their_tables_at_the_zeros_of_zeta():
+    # At a zero the total is rounding, below 1.9e-12 here, and no term
+    # falls below 1e-16 of it, so zeta's series run to the end of their
+    # tables; the last term is then below 1e-16 (3.2e-17 at worst, in the
+    # scalar table just below t = 1000), the rounding of the head's leading
+    # 1, and no ConvergenceError is raised.  mpmath checks every 32nd zero.
+    zeros = np.loadtxt(REFERENCE, comments="#")
+    assert len(zeros) == 649
+    values = [zeta(complex(0.5, t)) for t in zeros.tolist()]
+    for t in zeros.tolist():
+        _log_xi_terms(complex(0.5, t))
+    for block in np.split(zeros, range(64, 649, 64)):
+        _log_xi_terms(0.5 + 1j * block)
+    for i in range(0, 649, 32):
+        assert abs(values[i] - complex(mp.zeta(mp.mpc(0.5, zeros[i])))) <= 2e-12, zeros[i]
 
 
 def test_zeta_near_pole_laurent():

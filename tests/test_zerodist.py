@@ -236,28 +236,40 @@ def _mp_line_value(t: float) -> tuple[float, float]:
         return float(mp.re(xi) * scale), float((mp.pi / 4 * mp.re(xi) - mp.im(dxi)) * scale)
 
 
+def _worst(reference, rows, log_t):
+    """Largest error of rows (g, g') against reference.  log xi is
+    ill-conditioned near a zero, so g and g' are compared against the local
+    size |g| + |g'| / log t of the oscillation, and g' against log t times it."""
+    size = np.abs(reference[:, 0]) + np.abs(reference[:, 1]) / log_t
+    return max(float(np.max(np.abs(rows[:, 0] - reference[:, 0]) / size)),
+               float(np.max(np.abs(rows[:, 1] - reference[:, 1]) / (size * log_t))))
+
+
 def test_line_values_match_the_scalar_kernel_and_mpmath():
     # 1,024 points: 32 below t = 24, where log-gamma shifts more than once,
     # 928 in order, evaluated in blocks of neighbours, and a last block of 64
     # spread over [10, 1000] in random order, whose points alone would take
-    # cutoffs N from 20 to 510.  log xi is ill-conditioned near a zero, so g
-    # and g' are compared against the local size |g| + |g'| / log t of the
-    # oscillation, and g' against log t times it.  mpmath checks every 16th.
+    # cutoffs N from 20 to 260.  mpmath checks every 16th.
     rng = np.random.default_rng(20261019)
     ts = np.concatenate((np.linspace(10.0, 24.0, 32), np.sort(rng.uniform(24.0, 1000.0, 928)),
                          rng.permutation(np.geomspace(10.0, 1000.0, 64))))
     rows = zerodist._line_values(ts)
     log_t = np.log(ts)
-
-    def worst(reference, rows, log_t):
-        size = np.abs(reference[:, 0]) + np.abs(reference[:, 1]) / log_t
-        return max(float(np.max(np.abs(rows[:, 0] - reference[:, 0]) / size)),
-                   float(np.max(np.abs(rows[:, 1] - reference[:, 1]) / (size * log_t))))
-
     assert rows.shape == (1024, 2)
-    assert worst(np.array([_scalar_line_value(t) for t in ts.tolist()]), rows, log_t) <= 5e-12
+    assert _worst(np.array([_scalar_line_value(t) for t in ts.tolist()]), rows, log_t) <= 5e-12
     oracle = np.array([_mp_line_value(t) for t in ts[::16].tolist()])
-    assert worst(oracle, rows[::16], log_t[::16]) <= 5e-12
+    assert _worst(oracle, rows[::16], log_t[::16]) <= 5e-12
+
+
+def test_line_values_where_the_head_is_thinnest():
+    # The array kernel's cutoff N = max(20, t/4 + 10) is thinnest just below
+    # each step of t/4, where t/N is largest: near 40, 400 and 996, at t = 40
+    # where N leaves its floor of 20, and at the top of the domain.  Each
+    # point is a block of its own, so it sets N.
+    ts = np.array([40.0, 1000.0, *(np.array([40.0, 44.0, 400.0, 404.0, 996.0, 1000.0]) - 1e-9)])
+    rows = np.array([zerodist._line_values([t])[0] for t in ts.tolist()])
+    oracle = np.array([_mp_line_value(t) for t in ts.tolist()])
+    assert _worst(oracle, rows, np.log(ts)) <= 5e-12
 
 
 def test_line_kernel_takes_arrays_only_on_the_critical_line():
@@ -351,12 +363,15 @@ def test_refinement_bisects_a_step_that_leaves_the_bracket():
 @pytest.mark.parametrize("start", [0.0, 0.4], ids=["on-the-zero", "on-the-bracket-end"])
 def test_refinement_from_an_exact_start(monkeypatch, start):
     # A point that lands on a zero: there g' = g (pi/4 - Im L') is rounding
-    # noise, 0.056 at the 54th zero where the slope is about 1.15e4, and a
-    # Newton step on it ended 1.31e-11 off; the chord to the node before
-    # gives the certificate step a slope it can trust.  A cubic start
-    # lo + h x with 0 < x < 1 can also round onto the end hi.
+    # noise, more than half off the slope of about 1.15e4 at the 54th zero,
+    # and a Newton step on it ended 1.31e-11 off; the chord to the node
+    # before gives the certificate step a slope it can trust.  That is the
+    # rule _refine applies, here with a chord 1e-3 either side.  A cubic
+    # start lo + h x with 0 < x < 1 can also round onto the end hi.
     z = float(_reference_ordinates()[53])
-    assert abs(zerodist._line_value(z)[1]) < 1.0
+    h = 1e-3
+    chord = (zerodist._line_value(z + h)[0] - zerodist._line_value(z - h)[0]) / (2 * h)
+    assert abs(zerodist._line_value(z)[1] - chord) > 0.5 * abs(chord)
     monkeypatch.setattr(zerodist, "_newton_start", lambda *bracket: z + start)
     lo, hi = z - 0.3, z + 0.4
     root = zerodist._bisect_sign_change(lo, *zerodist._line_value(lo), hi, *zerodist._line_value(hi))
