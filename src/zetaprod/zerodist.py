@@ -220,60 +220,22 @@ def _line_values(ts: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _line_value(t: float) -> tuple[float, float]:
-    """(g, dg/dt) at one t: see :func:`_line_values`."""
-    return tuple(_line_values([t])[0].tolist())
-
-
-def _hermite(lo, g_lo, d_lo, hi, g_hi, d_hi):
-    """(h, a1, a2, a3) with h = hi - lo: the cubic Hermite interpolant through
-    values g and slopes d at both ends is g_lo + x (a1 + x (a2 + x a3)) at
-    lo + h x.  Scalars or arrays."""
-    h = hi - lo
-    a1 = h * d_lo
-    a2 = 3 * (g_hi - g_lo) - h * (2 * d_lo + d_hi)
-    a3 = 2 * (g_lo - g_hi) + h * (d_lo + d_hi)
-    return h, a1, a2, a3
-
-
-def _newton_start(lo, g_lo, d_lo, hi, g_hi, d_hi):
-    """Root in (lo, hi) of the cubic Hermite interpolant through both ends;
-    scalars or arrays, one root per bracket.
-
-    Newton steps on the cubic in x = (t - lo) / h from the chord's root, all
-    brackets at once; each step keeps the end where the cubic has the sign
-    of g_lo, one that would leave that interval bisects it instead, and a
-    bracket's steps end where its next would be at most 1e-9.
-    """
-    h, a1, a2, a3 = _hermite(lo, g_lo, d_lo, hi, g_hi, d_hi)
-    x = g_lo / (g_lo - g_hi)
-    x_lo, x_hi = np.zeros_like(x), np.ones_like(x)
-    positive, done = g_lo > 0, np.zeros_like(x, dtype=bool)
-    for _ in range(40):
-        p = g_lo + x * (a1 + x * (a2 + x * a3))
-        dp = a1 + x * (2 * a2 + 3 * x * a3)
-        right = (p > 0) == positive
-        x_lo, x_hi = np.where(right, x, x_lo), np.where(right, x_hi, x)
-        new = x - p / np.where(dp == 0, 1.0, dp)
-        done = done | ((dp != 0) & (np.abs(new - x) <= 1e-9))
-        if done.all():
-            break
-        new = np.where((dp != 0) & (x_lo < new) & (new < x_hi), new, 0.5 * (x_lo + x_hi))
-        x = np.where(done, x, new)
-    return lo + h * x
-
-
 def _dips(ts: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, t) for every interval [ts[i], ts[i + 1]] without a sign change of
     g = gs[:, 0] whose cubic Hermite interpolant (slopes gs[:, 1]) turns
     back across zero inside it; t is the interior extremum of that cubic.
 
-    The extremum that can cross is a minimum where g > 0 at the ends and a
-    maximum where g < 0: x* = -a1 / (a2 + sign(g_lo) sqrt(a2^2 - 3 a1 a3)),
-    the root of the cubic's slope taken in the form that does not cancel.
+    With h = ts[i + 1] - ts[i] the cubic is g_lo + x (a1 + x (a2 + x a3)) at
+    ts[i] + h x.  The extremum that can cross is a minimum where g > 0 at the
+    ends and a maximum where g < 0: x* = -a1 / (a2 + sign(g_lo) sqrt(a2^2 -
+    3 a1 a3)), the root of the cubic's slope taken in the form that does not
+    cancel.
     """
-    g_lo, g_hi = gs[:-1, 0], gs[1:, 0]
-    h, a1, a2, a3 = _hermite(ts[:-1], g_lo, gs[:-1, 1], ts[1:], g_hi, gs[1:, 1])
+    (g_lo, d_lo), (g_hi, d_hi) = gs[:-1].T, gs[1:].T
+    h = ts[1:] - ts[:-1]
+    a1 = h * d_lo
+    a2 = 3 * (g_hi - g_lo) - h * (2 * d_lo + d_hi)
+    a3 = 2 * (g_lo - g_hi) + h * (d_lo + d_hi)
     sign = np.sign(g_lo)
     den = a2 + sign * np.sqrt(np.maximum(a2 * a2 - 3 * a1 * a3, 0.0))
     # 0 < -a1 / den < 1, tested without dividing: den may be 0
@@ -284,96 +246,94 @@ def _dips(ts: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, ts[i] + h[i] * x[i]
 
 
-def _quintic_root(nodes: list, lo: float, hi: float, positive_lo: bool) -> float:
-    """Root in (lo, hi) of the quintic Hermite interpolant p through three
-    nodes (t, g, dg), oldest first, the newest one an end of (lo, hi).
+def _hermite_root(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  positive: np.ndarray) -> np.ndarray:
+    """Root in (lo, hi) of the Hermite interpolant p through the values g and
+    slopes dg at ``nodes``, rows (t, g, dg) newest first, each entry a column
+    of brackets whose newest node is an end: the cubic through two nodes,
+    the quintic through three.
 
-    p is in divided-difference form, newest node first.  Newton steps on p
-    start there, so the first is Newton's step on g; each keeps the end
-    where p has the sign ``positive_lo`` gives g at lo, one that would
-    leave the bracket bisects it instead, and they end where the next step
+    p is in Newton form on the nodes taken twice each, newest first, with
+    the confluent divided differences as coefficients (Stoer and Bulirsch,
+    Introduction to Numerical Analysis, 2.1.5).  Newton steps on p start at
+    the newest node, so the first is Newton's step on g; each keeps the end
+    where p has the sign ``positive`` gives g at lo, one that would leave
+    the bracket bisects it instead, and a bracket's steps end where its next
     would be at most 1e-9, far below how close p comes to g's zero.
     """
-    (c, fc, dc), (b, fb, db), (a, fa, da) = nodes
-    ab, bc, ac = b - a, c - b, c - a
-    s1, s2 = (fb - fa) / ab, (fc - fb) / bc
-    aab, abb, bbc, bcc = (s1 - da) / ab, (db - s1) / ab, (s2 - db) / bc, (dc - s2) / bc
-    aabb, abbc, bbcc = (abb - aab) / ab, (bbc - abb) / ac, (bcc - bbc) / bc
-    aabbc = (abbc - aabb) / ac
-    aabbcc = ((bbcc - abbc) / ac - aabbc) / ac
-    x, p, dp = a, fa, da
-    for _ in range(12):
-        lo, hi = (x, hi) if (p > 0) == positive_lo else (lo, x)
-        step = -p / dp if dp else hi - lo
-        if abs(step) <= 1e-9:
-            break
-        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
-        u, v = x - a, x - b
-        q4 = aabbc + (x - c) * aabbcc
-        q3, e3 = aabb + v * q4, q4 + v * aabbcc
-        q2, e2 = aab + v * q3, q3 + v * e3
-        q1, e1 = da + u * q2, q2 + u * e2
-        p, dp = fa + u * q1, q1 + u * e1
+    t, g, dg = nodes.transpose(1, 0, 2)
+    z = t.repeat(2, axis=0)
+    table = np.empty_like(z[1:])
+    table[::2], table[1::2] = dg, (g[1:] - g[:-1]) / (t[1:] - t[:-1])
+    coef = [g[0], table[0]]
+    for k in range(2, len(z)):
+        table = (table[1:] - table[:-1]) / (z[k:] - z[:-k])
+        coef.append(table[0])
+    x, p, dp = t[0], g[0], dg[0]
+    done = np.zeros(len(x), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # dp = 0: a step that bisects
+        for _ in range(40):
+            right = (p > 0) == positive
+            lo, hi = np.where(right, x, lo), np.where(right, hi, x)
+            ratio = p / dp
+            done |= np.abs(ratio) <= 1e-9
+            if done.all():
+                break
+            new = x - ratio
+            x = np.where(done, x, np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi)))
+            p, dp = coef[-1], 0.0
+            for c, u in zip(coef[-2::-1], x - z[-2::-1]):
+                p, dp = c + u * p, p + u * dp
     return x
-
-
-def _refine(lo: float, g_lo: float, d_lo: float, hi: float, g_hi: float, d_hi: float, t: float):
-    """The refinement of one bracket from the start t, as a generator: it
-    yields each point to evaluate, is sent (g, dg) there, and returns the
-    root (see :func:`_bisect_sign_change`)."""
-    nodes = [(lo, g_lo, d_lo), (hi, g_hi, d_hi)]
-    t = t if lo < t < hi else 0.5 * (lo + hi)  # rounding can put it on an end
-    while hi - lo > 1e-12:
-        g, dg = yield t
-        lo, hi = (t, hi) if (g > 0) == (g_lo > 0) else (lo, t)
-        near, g_near, _ = nodes[-1]
-        chord = (g - g_near) / (t - near)
-        slope, width = (dg, 0.0) if abs(dg - chord) <= 0.5 * abs(chord) else (chord, abs(t - near))
-        step = -g / slope
-        if abs(step) * (abs(step) + width) <= 6.4e-13 and lo <= t + step <= hi:
-            return t + step
-        nodes.append((t, g, dg))
-        x = _quintic_root(nodes[-3:], lo, hi, g_lo > 0)
-        t = x if x != t else 0.5 * (lo + hi)
-    return t
 
 
 def _bisect_sign_change(lo, g_lo, d_lo, hi, g_hi, d_hi):
     """Roots of g = _line_values in the brackets (lo, hi), where g_lo and
-    g_hi differ in sign: six scalars give one root, six columns of at most
-    _BLOCK brackets an array of them.
+    g_hi differ in sign: six scalars give one root as a float, six columns
+    of at most _BLOCK brackets an array of them.
 
-    The brackets are refined in lockstep.  Each starts at
-    :func:`_newton_start`; in each round every unfinished bracket proposes
-    its next point and one call of :func:`_line_values` evaluates them all.
-    Each evaluation replaces the end of the same sign, and the next point is
-    the root of the quintic through the newest point and the two nodes
-    before it (:func:`_quintic_root`), about two evaluations a zero.  A
-    bracket stops after a Newton step d with |d| (|d| + w) <= (8e-7)^2:
-    with C = |g''/2g'| at most 3.1 at the zeros below 1000, the point it
-    reaches is within C |d| (|d| + w) <= 2e-12 of the zero.  The slope is
-    g' (w = 0) unless g' is more than half off the chord to the newest
-    earlier node (w away): within about 1e-12 of a zero, where restarts can
-    land, g' is rounding noise.  A bracket 1e-12 wide also stops.  The name
-    is the one bench/tracing.py wraps to count refinement evaluations.
+    The brackets are refined in lockstep: in each round every unfinished
+    bracket proposes its next point, the root of :func:`_hermite_root`, and
+    one call of :func:`_line_values` evaluates them all.  The first point is
+    the root of the cubic through the bracket ends; each evaluation replaces
+    the end of the same sign, and the next point is the root of the quintic
+    through the newest point and the two nodes before it, about two
+    evaluations a zero.  A bracket stops after a Newton step d with
+    |d| (|d| + w) <= (8e-7)^2: with C = |g''/2g'| at most 3.1 at the zeros
+    below 1000, the point it reaches is within C |d| (|d| + w) <= 2e-12 of
+    the zero.  The slope is g' (w = 0) unless g' is more than half off the
+    chord to the newest earlier node (w away): within about 1e-12 of a zero,
+    where restarts can land, g' is rounding noise.  A bracket 1e-12 wide
+    also stops, at the point it proposes.  The name is the one
+    bench/tracing.py wraps to count refinement evaluations.
     """
-    cols = np.atleast_1d(lo, g_lo, d_lo, hi, g_hi, d_hi)
-    starts = np.atleast_1d(_newton_start(*cols))
-    roots = np.empty(len(starts))
-    live = list(enumerate(_refine(*row) for row in zip(*(c.tolist() for c in (*cols, starts)))))
-    values = [None] * len(live)
-    while live:
-        ts, still = [], []
-        for (i, refining), value in zip(live, values):
-            try:
-                ts.append(refining.send(value))
-                still.append((i, refining))
-            except StopIteration as stop:
-                roots[i] = stop.value
-        live = still
-        if live:
-            values = _line_values(np.array(ts)).tolist()
-    return float(roots[0]) if np.ndim(lo) == 0 else roots
+    scalar = np.ndim(lo) == 0
+    lo, g_lo, d_lo, hi, g_hi, d_hi = np.atleast_1d(lo, g_lo, d_lo, hi, g_hi, d_hi)
+    roots = np.empty(len(lo))
+    live, positive = np.arange(len(lo)), g_lo > 0
+    nodes = np.array([(hi, g_hi, d_hi), (lo, g_lo, d_lo)], dtype=float)
+    stop, end = False, 0.0  # no bracket has taken its last step yet
+    while True:
+        x = _hermite_root(nodes, lo, hi, positive)
+        # rounding can put the root on an end of the bracket
+        t = np.where(stop, end, np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi)))
+        done = stop | (hi - lo <= 1e-12)
+        roots[live[done]] = t[done]
+        go = ~done
+        live, lo, hi, positive, nodes, t = live[go], lo[go], hi[go], positive[go], nodes[..., go], t[go]
+        if not len(live):
+            return float(roots[0]) if scalar else roots
+        g, dg = _line_values(t).T
+        right = (g > 0) == positive
+        lo, hi = np.where(right, t, lo), np.where(right, hi, t)
+        near, g_near = nodes[0, :2]
+        chord = (g - g_near) / (t - near)
+        trust = np.abs(dg - chord) <= 0.5 * np.abs(chord)
+        step = -g / np.where(trust, dg, chord)
+        end, size = t + step, np.abs(step)
+        width = np.where(trust, 0.0, np.abs(t - near))
+        stop = (size * (size + width) <= 6.4e-13) & (lo <= end) & (end <= hi)
+        nodes = np.concatenate(([(t, g, dg)], nodes[:2]))
 
 
 #: Narrowest scan interval the sign scan splits.  The grid intervals are
@@ -385,7 +345,7 @@ _MIN_WIDTH = 1e-3
 
 def _sign_scan(t_max: float, expected: int) -> np.ndarray:
     """Brackets (lo, g_lo, d_lo, hi, g_hi, d_hi) of the sign changes of
-    _line_value (g and its slope d at both ends) on [10, t_max], once they
+    _line_values (g and its slope d at both ends) on [10, t_max], once they
     number ``expected``: one per zero below t_max.
 
     The grid is 10, every k_n = _phi_inverse(n) with n < phi(t_max) - 1/2,
@@ -449,12 +409,12 @@ def find_zeros(t_max: float) -> ZeroList:
     that would need splitting below ``_MIN_WIDTH`` raises
     :class:`ClusterError`.  Each sign change is then refined on the
     rescaled real xi from the root of the same cubic, restarting at the
-    root of the quintic Hermite interpolant through the last three points
-    (see :func:`_bisect_sign_change`), about 2.2 points per zero, in blocks
-    of _BLOCK brackets refined in lockstep; the returned ordinates lie
-    within 2e-12 of the true zeros.  Both phases evaluate xi on the line in
-    arrays of at most _BLOCK points.  A t_max within rounding of an ordinate
-    raises :class:`ProximityError`.
+    root of the quintic Hermite interpolant through the last three points,
+    both found by :func:`_hermite_root` (see :func:`_bisect_sign_change`),
+    about 2.2 points per zero, in blocks of _BLOCK brackets refined in
+    lockstep; the returned ordinates lie within 2e-12 of the true zeros.
+    Both phases evaluate xi on the line in arrays of at most _BLOCK points.
+    A t_max within rounding of an ordinate raises :class:`ProximityError`.
     """
     if not (t_max > 14):
         raise DomainError(f"t_max must exceed 14, got {t_max!r}")

@@ -339,11 +339,9 @@ def test_newton_stop_rule_bound():
     # at the zero itself zeta'/zeta is rounding noise.  Worst: 3.09, at
     # 630.474.
     h = 1e-3
-    worst = 0.0
-    for k in ZeroList.read(REFERENCE).ordinates.tolist():
-        d_minus = zerodist._line_value(k - h)[1]
-        d_plus = zerodist._line_value(k + h)[1]
-        worst = max(worst, abs((d_plus - d_minus) / (2 * h) / (d_plus + d_minus)))
+    k = _reference_ordinates()
+    d_minus, d_plus = zerodist._line_values(np.concatenate((k - h, k + h)))[:, 1].reshape(2, -1)
+    worst = float(np.max(np.abs((d_plus - d_minus) / (2 * h) / (d_plus + d_minus))))
     assert worst * 8e-7 ** 2 <= 2e-12
 
 
@@ -352,12 +350,29 @@ def test_refinement_bisects_a_step_that_leaves_the_bracket():
     # maximum and Newton's step aims at -9.9, far outside [10, 17.85].
     # Taken, it would head for another zero; bisected, it keeps 14.13.
     lo, hi = 10.0, 17.85
-    g_lo, g_hi = zerodist._line_value(lo)[0], zerodist._line_value(hi)[0]
-    start = zerodist._newton_start(lo, g_lo, 0.0, hi, g_hi, 500.0)
-    g, dg = zerodist._line_value(start)
+    (g_lo, _), (g_hi, _) = zerodist._line_values([lo, hi])
+    nodes = np.array([(hi, g_hi, 500.0), (lo, g_lo, 0.0)])[..., None]
+    start = zerodist._hermite_root(nodes, lo, hi, g_lo > 0)[0]
+    g, dg = zerodist._line_values([start])[0]
     assert not lo < start - g / dg < hi
     root = zerodist._bisect_sign_change(lo, g_lo, 0.0, hi, g_hi, 500.0)
+    assert type(root) is float
     assert abs(root - ZeroList.read(REFERENCE).ordinates[0]) <= 1e-11
+
+
+@pytest.mark.parametrize("extra", [(), (-2.5, 4.0)], ids=["cubic", "quintic"])
+def test_hermite_root_finds_a_polynomial_root(extra):
+    # A cubic through two nodes, or a quintic through three, is its own
+    # Hermite interpolant, so the routine returns its root in the bracket
+    # (0, 1.5).  The newest node is the end 1.5; the third node, -0.5, lies
+    # outside the bracket, as an older node of a refinement can.
+    roots = np.array([0.2, 0.75, 1.4])
+    lo, hi = np.zeros(3), np.full(3, 1.5)
+    ts = [1.5, 0.0, -0.5][:2 + len(extra) // 2]
+    polys = [np.polynomial.Polynomial.fromroots([r, -2.0, 3.0, *extra]) for r in roots]
+    nodes = np.array([[[t] * 3, [q(t) for q in polys], [q.deriv()(t) for q in polys]] for t in ts])
+    positive = np.array([q(0.0) > 0 for q in polys])
+    np.testing.assert_allclose(zerodist._hermite_root(nodes, lo, hi, positive), roots, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("start", [0.0, 0.4], ids=["on-the-zero", "on-the-bracket-end"])
@@ -366,16 +381,24 @@ def test_refinement_from_an_exact_start(monkeypatch, start):
     # noise, more than half off the slope of about 1.15e4 at the 54th zero,
     # and a Newton step on it ended 1.31e-11 off; the chord to the node
     # before gives the certificate step a slope it can trust.  That is the
-    # rule _refine applies, here with a chord 1e-3 either side.  A cubic
-    # start lo + h x with 0 < x < 1 can also round onto the end hi.
+    # rule _bisect_sign_change applies, here with a chord 1e-3 either side.
+    # A first point inside the bracket can also round onto its end hi.
     z = float(_reference_ordinates()[53])
     h = 1e-3
-    chord = (zerodist._line_value(z + h)[0] - zerodist._line_value(z - h)[0]) / (2 * h)
-    assert abs(zerodist._line_value(z)[1] - chord) > 0.5 * abs(chord)
-    monkeypatch.setattr(zerodist, "_newton_start", lambda *bracket: z + start)
+    (g_minus, _), (_, d_zero), (g_plus, _) = zerodist._line_values([z - h, z, z + h])
+    chord = (g_plus - g_minus) / (2 * h)
+    assert abs(d_zero - chord) > 0.5 * abs(chord)
+    hermite_root = zerodist._hermite_root
+
+    def first_at_start(nodes, *bracket):
+        if len(nodes) == 2:  # the first call, on the bracket ends
+            return np.full(nodes.shape[-1], z + start)
+        return hermite_root(nodes, *bracket)
+
+    monkeypatch.setattr(zerodist, "_hermite_root", first_at_start)
     lo, hi = z - 0.3, z + 0.4
-    root = zerodist._bisect_sign_change(lo, *zerodist._line_value(lo), hi, *zerodist._line_value(hi))
-    assert abs(root - z) <= 1e-11
+    (g_lo, d_lo), (g_hi, d_hi) = zerodist._line_values([lo, hi])
+    assert abs(zerodist._bisect_sign_change(lo, g_lo, d_lo, hi, g_hi, d_hi) - z) <= 1e-11
 
 
 @settings(max_examples=300)
@@ -388,7 +411,8 @@ def test_refinement_from_any_bracket_around_a_zero(i, u, v):
     below = float(zeros[i - 1]) if i else 10.0
     above = float(zeros[i + 1]) if i + 1 < len(zeros) else 1000.0
     lo, hi = z - u * (z - below), z + v * (above - z)
-    bracket = (lo, *zerodist._line_value(lo), hi, *zerodist._line_value(hi))
+    (g_lo, d_lo), (g_hi, d_hi) = zerodist._line_values([lo, hi])
+    bracket = (lo, g_lo, d_lo, hi, g_hi, d_hi)
     assert (bracket[1] > 0) != (bracket[4] > 0)
     assert abs(zerodist._bisect_sign_change(*bracket) - z) <= 1e-11
 
