@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InsufficientZerosError, ZetaprodError
-from .specfun import PI, TWO_PI, _log_xi_terms, log_xi_asymptotic, log_xi_z, xi_z
+from .specfun import PI, TWO_PI, _log_xi, log_xi_asymptotic, log_xi_z, xi_z
 from .transforms import ROW_VERIFICATION_PAIRS, cosh_demo, verify_table_row
 from .zerodist import (
     A_ROOT,
@@ -152,7 +152,7 @@ def _cmd_xi_eval(args: argparse.Namespace, write: Write) -> list[str]:
         ln = log_xi_z(z)
     else:
         # log form: no underflow; phase in (-pi, pi], exactly 0 or pi on the line
-        ln = _log_xi_terms(z + 0.5)[0]
+        ln = _log_xi(z + 0.5)
         if z.real == 0:
             ln = complex(ln.real, PI * (round(ln.imag / PI) % 2))
         else:

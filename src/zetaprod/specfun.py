@@ -43,9 +43,7 @@ _BERNOULLI = (
 _STIRLING = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, start=1))
 
 # log n for the Dirichlet head of _zeta_em: as long as its cutoff at |Im s| = IM_MAX.
-# The complex copy is what the slope's dot product would cast it to on every call.
 _LOG_N = np.log(np.arange(1, int(IM_MAX / 2) + 10, dtype=float))
-_LOG_N_COMPLEX = _LOG_N.astype(complex)
 
 # Most entries of one slice of the array kernel's Dirichlet head: 64 KB.  Slices
 # of 120 KB or more came from the top of malloc's heap, where a long-running
@@ -92,65 +90,41 @@ def _finite(x: complex, name: str) -> complex:
     return x
 
 
-def _zeta_em(s: complex, slope: bool = False):
-    """Euler-Maclaurin zeta with cutoff N grown with |Im s|; with slope, the
-    pair (zeta(s), zeta'(s)).
+def _zeta_em(s: complex) -> complex:
+    """Euler-Maclaurin zeta with cutoff N grown with |Im s|.
 
     Head sum_{n<N} n^(-s), boundary terms at N, then the Bernoulli
     corrections (B_2k / (2k)!) s(s+1)...(s+2k-2) N^(-s-2k+1), with the
     coefficients from _EM_COEF, until one falls below 1e-16 of the running
-    total.  The derivative differentiates the same terms one by one and
-    stops with them; its head dots the powers n^(-s) against log n.
-    Callers ensure re(s) >= 1/2, s != 1 and |Im s| <= IM_MAX, which keeps N
-    within _LOG_N.
+    total.  Callers ensure re(s) >= 1/2, s != 1 and |Im s| <= IM_MAX, which
+    keeps N within _LOG_N.
     """
     big_n = max(20, int(abs(s.imag) / 2) + 10)
-    powers = np.exp(-s * _LOG_N[: big_n - 1])
-    tot = complex(powers.sum())
-    edge = big_n ** (1 - s) / (s - 1)
-    half = 0.5 * big_n ** (-s)
-    tot += edge + half
-    if slope:
-        log_n = math.log(big_n)
-        dtot = -complex(_LOG_N_COMPLEX[: big_n - 1] @ powers) - edge * (log_n + 1 / (s - 1)) - log_n * half
-        dlog = 1 / s - log_n  # log-derivative of the Bernoulli term
+    tot = complex(np.exp(-s * _LOG_N[: big_n - 1]).sum())
+    tot += big_n ** (1 - s) / (s - 1) + 0.5 * big_n ** (-s)
     poch = complex(s)
     bpow = big_n ** (-s - 1)
     n_sq = big_n * big_n
     for coef, two_k in _EM_COEF:
         term = coef * poch * bpow
         tot += term
-        if slope:
-            dtot += term * dlog
         if abs(term) < 1e-16 * abs(tot):
             break
-        rise = (s + two_k - 1) * (s + two_k)
-        poch *= rise
+        poch *= (s + two_k - 1) * (s + two_k)
         bpow /= n_sq
-        if slope:
-            dlog += (2 * s + 2 * two_k - 1) / rise
     else:  # out of _EM_COEF: see _series
         if not abs(term) < 1e-16 * max(abs(tot), 1.0):
             raise ConvergenceError(f"Euler-Maclaurin zeta at s = {s:g} ran past B_30")
-    return (tot, dtot) if slope else tot
+    return tot
 
 
-def _s1_zeta(w: complex, slope: bool = False):
-    """The entire function (w - 1) * zeta(w), finite at w = 1; with slope, the
-    pair of it and its log-derivative.
-
-    Callers pass re(w) >= 1/2: zeta, xi_s and _log_xi_terms reflect first.
-    """
+def _s1_zeta(w: complex) -> complex:
+    """The entire function (w - 1) * zeta(w), finite at w = 1.  Callers pass
+    re(w) >= 1/2: zeta, xi_s and _log_xi reflect first."""
     u = w - 1
     if abs(u) <= 0.02:
         g0, g1, g2, g3, g4 = _STIELTJES
-        val = 1 + u * (g0 + u * (-g1 + u * (g2 / 2 + u * (-g3 / 6 + u * (g4 / 24)))))
-        if slope:
-            return val, (g0 + u * (-2 * g1 + u * (1.5 * g2 + u * (-2 * g3 / 3 + u * (5 * g4 / 24))))) / val
-        return val
-    if slope:
-        z, dz = _zeta_em(w, slope=True)
-        return u * z, 1 / u + dz / z
+        return 1 + u * (g0 + u * (-g1 + u * (g2 / 2 + u * (-g3 / 6 + u * (g4 / 24)))))
     return u * _zeta_em(w)
 
 
@@ -202,42 +176,29 @@ def _at_trivial_zero(s: complex) -> complex:
     return complex(0.0, math.copysign(math.exp(log_abs), s.imag if two_n % 4 == 0 else -s.imag))
 
 
-def _log_gamma_any(a: complex, slope: bool = False):
+def _log_gamma_any(a: complex) -> complex:
     # Log-gamma off the poles 0, -1, -2, ...: shift by the recurrence until
     # re(a) >= 2 and |a| >= 12, then sum the Stirling series, which reaches
     # 1e-16 within 9 terms there.  The shift logs are summed one by one, so
     # near a pole they keep relative accuracy and for re(a) > 0 the imaginary
-    # part is the analytic (unwound) one, not the principal branch.  With
-    # slope, the pair (log-gamma, digamma): the same series differentiated
-    # term by term, less the shift's sum of 1/a.
+    # part is the analytic (unwound) one, not the principal branch.
     shift = 0j
-    dshift = 0j
     while a.real < 2.0 or abs(a) < 12.0:
         shift += cmath.log(a)
-        if slope:
-            dshift += 1 / a
         a = a + 1
-    log_a = cmath.log(a)
-    tot = (a - 0.5) * log_a - a + 0.5 * LN_2PI
+    tot = (a - 0.5) * cmath.log(a) - a + 0.5 * LN_2PI
     inv = 1 / a
     inv2 = inv * inv
-    if slope:
-        rec = inv
-        dtot = log_a - 0.5 * rec
-        odd = 1  # d/da of c a^(1 - 2k) is -(2k - 1) c a^(-2k)
     for c in _STIRLING:
         term = c * inv
         tot += term
-        if slope:
-            dtot -= odd * term * rec
-            odd += 2
         if abs(term) < 1e-16 * abs(tot):
             break
         inv *= inv2
     else:  # out of _STIRLING: see _series
         if not abs(term) < 1e-16 * max(abs(tot), 1.0):
             raise ConvergenceError(f"Stirling series at a = {a:g} ran past B_30")
-    return (tot - shift, dtot - dshift) if slope else tot - shift
+    return tot - shift
 
 
 def _log_gamma_factor(w: complex) -> complex:
@@ -278,7 +239,7 @@ def xi_s(s: complex) -> complex:
     the critical line are returned real, so the symmetry holds exactly.
     Where |xi| < 2.2e-308, the smallest normal double (|Im s| above about
     919 on the line), it is accurate in absolute terms only, to 1e-319;
-    log_xi_z and _log_xi_terms stay relative.  Raises :class:`RangeError`
+    log_xi_z and _log_xi stay relative.  Raises :class:`RangeError`
     where |xi| exceeds the largest double (real s beyond about 433).
     """
     s = _finite(s, "xi_s")
@@ -305,30 +266,14 @@ def xi_z(z: complex) -> complex:
     return xi_s((z if complex(z).real >= 0 else -z) + 0.5)
 
 
-def _log_xi_terms(s: complex | np.ndarray) -> tuple:
-    """The pair (log xi_s, d log xi_s / ds), with no under- or overflow.
-
-    The log is fixed up to a multiple of 2*pi*i: its imaginary part carries
-    the phase, its real part is log |xi_s|.  The slope is
-    psi(s/2 + 1)/2 - (ln pi)/2 + 1/(s - 1) + zeta'/zeta, from the same
-    Stirling and Euler-Maclaurin passes, so it costs about a quarter more than
-    the log alone; left of the critical line it is -L'(1 - s).  Near a zero
-    of xi the slope is dominated by rounding in zeta'/zeta.  Used for the
-    sign scan and root refinement high on the critical line, where xi itself
-    underflows; there s is a 1-D array of points on the line, and the pair
-    is two arrays from one vectorised pass (see :func:`_log_xi_line`).
-    Raises :class:`RangeError` beyond |Im s| <= 1000, like :func:`xi_s`.
-    """
-    if np.ndim(s):
-        return _log_xi_line(np.asarray(s, dtype=complex))
+def _log_xi(s: complex) -> complex:
+    """log xi_s(s) up to a multiple of 2*pi*i, with no under- or overflow: the
+    gamma factor plus log (w - 1) zeta(w), w = s reflected to re(w) >= 1/2.
+    Raises :class:`RangeError` beyond |Im s| <= 1000, like :func:`xi_s`."""
     if abs(s.imag) > IM_MAX:
-        raise RangeError(f"_log_xi_terms supported for |Im s| <= {IM_MAX:g}")
+        raise RangeError(f"_log_xi supported for |Im s| <= {IM_MAX:g}")
     w = s if s.real >= 0.5 else 1 - s
-    log_gamma, psi = _log_gamma_any(w / 2 + 1, slope=True)
-    s1_zeta, s1_slope = _s1_zeta(w, slope=True)
-    value = (log_gamma - (w / 2) * LN_PI) + cmath.log(s1_zeta)
-    slope = 0.5 * (psi - LN_PI) + s1_slope
-    return value, (slope if s.real >= 0.5 else -slope)
+    return _log_gamma_factor(w) + cmath.log(_s1_zeta(w))
 
 
 def _accumulate(ufunc, first, rest, width: int) -> np.ndarray:
@@ -357,9 +302,16 @@ def _series(tot, terms, dtot, dterms) -> tuple[np.ndarray, np.ndarray]:
     return sums[:, k], _accumulate(np.add, dtot, dterms[:, :k + 1], k + 2)[:, -1]
 
 
-def _log_xi_line(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_log_xi_terms at each point of s, all on the critical line: the scalar
-    passes as array arithmetic.
+def _log_xi_terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (log xi_s, d log xi_s / ds) at each point of the 1-D array s,
+    all on the critical line, as two arrays from one vectorised pass.
+
+    The log agrees with :func:`_log_xi` to about 1e-12.  The slope is
+    psi(s/2 + 1)/2 - (ln pi)/2 + 1/(s - 1) + zeta'/zeta, from the same
+    Stirling and Euler-Maclaurin passes; near a zero of xi it is dominated
+    by rounding in zeta'/zeta.  Used for the sign scan and root refinement,
+    where xi itself underflows.  Raises :class:`RangeError` beyond
+    |Im s| <= 1000, like :func:`xi_s`.
 
     The Dirichlet head n^(-s) is a (points x N) array, exponentiated in
     place a slice of columns at a time, with one cutoff N for all points
@@ -372,14 +324,13 @@ def _log_xi_line(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with B_30 as in :func:`_zeta_em`: near |t| = 1000 the shorter head takes
     about 40 terms, a few more columns of one array here but more rounds of a
     Python loop there, which made the scalar path slower (ROADMAP item 4).
-    Agrees with the scalar path to about 1e-12.  Callers pass at most 64
-    points, so no array here exceeds _HEAD_ENTRIES.
+    Callers pass at most 64 points, so no array here exceeds _HEAD_ENTRIES.
     """
     t_top = float(np.max(np.abs(s.imag)))
     if t_top > IM_MAX:
         raise RangeError(f"_log_xi_terms supported for |Im s| <= {IM_MAX:g}")
     if np.any(s.real != 0.5):
-        raise DomainError("_log_xi_terms takes arrays only on the critical line")
+        raise DomainError("_log_xi_terms takes points on the critical line only")
     # log-gamma at s/2 + 1 and its digamma by the shifted Stirling series:
     # re(s/2 + 1) = 5/4, so every point takes one step of the recurrence,
     # and those below t = 23.6, where |s/2 + 2| < 12, take more

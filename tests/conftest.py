@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import settings
 
-from zetaprod.specfun import _log_xi_terms
+from zetaprod.specfun import _log_xi
 from zetaprod.zerodist import ZeroList, find_zeros
 
 # Property tests draw the same examples on every run and write no example
@@ -47,7 +47,7 @@ def xi_phase():
     so count_zeros_contour's proximity test stops it there; this handle
     keeps only the phase, from the log form, which does not underflow.
     """
-    return lambda z: cmath.exp(1j * _log_xi_terms(complex(z) + 0.5)[0].imag)
+    return lambda z: cmath.exp(1j * _log_xi(complex(z) + 0.5).imag)
 
 
 @pytest.fixture(scope="session")

@@ -58,10 +58,12 @@ def test_xi_eval_complex_with_asymptotics(capsys):
 @pytest.mark.parametrize("z,expected", [
     ("0,950", "xi=0.000000+0.000000j ln_xi=-734.11857+0.00000j"),
     ("0.2,990", "xi=0.000000+0.000000j ln_xi=-764.85797+0.86281j"),
+    ("-3,20", "xi=0.000186+0.000012j ln_xi=-8.58801+0.06181j"),
 ])
 def test_xi_eval_log_where_xi_underflows(capsys, z, expected):
-    # mpmath: ln xi_z(950i) = -734.1185721
-    code, out, _ = run(capsys, "xi-eval", "--z", z)
+    # mpmath: ln xi_z(950i) = -734.1185721, ln xi_z(-3 + 20i) = -8.588005435 + 0.061807849i;
+    # "--z -3,20" would read as a flag
+    code, out, _ = run(capsys, "xi-eval", f"--z={z}")
     assert code == 0
     assert out == expected + "\n"
 

@@ -23,9 +23,8 @@ from zetaprod import specfun
 from zetaprod.specfun import (
     _EM_COEF,
     _EM_LINE,
-    _log_gamma_factor,
+    _log_xi,
     _log_xi_terms,
-    _s1_zeta,
     ln_zeta_bound_check,
     log_gamma,
     log_xi_asymptotic,
@@ -195,7 +194,7 @@ def test_series_end_within_their_tables_at_the_zeros_of_zeta():
     assert len(zeros) == 649
     values = [zeta(complex(0.5, t)) for t in zeros.tolist()]
     for t in zeros.tolist():
-        _log_xi_terms(complex(0.5, t))
+        _log_xi(complex(0.5, t))
     for block in np.split(zeros, range(64, 649, 64)):
         _log_xi_terms(0.5 + 1j * block)
     for i in range(0, 649, 32):
@@ -382,7 +381,7 @@ def test_xi_refuses_overflow():
     log_max = math.log(sys.float_info.max)
     for x in np.arange(400.0, 461.0):
         for z in (x, x + 30j, -x):
-            if _log_xi_terms(complex(z) + 0.5)[0].real > log_max:
+            if _log_xi(complex(z) + 0.5).real > log_max:
                 with pytest.raises(RangeError, match="largest double"):
                     xi_z(z)
             else:
@@ -414,7 +413,9 @@ def test_non_finite_argument_refused(fn, x):
 
 def test_log_xi_terms_range():
     with pytest.raises(RangeError):
-        _log_xi_terms(0.5 + 1200j)
+        _log_xi(0.5 + 1200j)
+    with pytest.raises(RangeError):
+        _log_xi_terms(np.array([0.5 + 1200j]))
 
 
 def mp_log_xi_slope(s: complex) -> complex:
@@ -424,9 +425,9 @@ def mp_log_xi_slope(s: complex) -> complex:
 
 
 def log_xi_points() -> list[complex]:
-    """Seeded points for the log xi pair: the critical line, either side of it
-    up to |Im s| = 1000, reflected points left of it, and the Laurent disc
-    |s - 1| <= 0.02."""
+    """Seeded points for log xi and its slope: the critical line, either side
+    of it up to |Im s| = 1000, reflected points left of it, and the Laurent
+    disc |s - 1| <= 0.02."""
     rng = np.random.default_rng(20261019)
     points = [complex(x, y) for x in (0.5, 0.7, 1.5, 3.0) for y in rng.uniform(-1000, 1000, 6)]
     points += [complex(x, y) for x in (0.3, -0.5, -3.0) for y in rng.uniform(-1000, 1000, 3)]
@@ -435,18 +436,26 @@ def log_xi_points() -> list[complex]:
 
 
 def test_log_xi_slope_against_mpmath():
+    # the array kernel at the points on the critical line, in one block
+    line = np.array([s for s in log_xi_points() if s.real == 0.5])
+    assert len(line) == 7
+    slopes = _log_xi_terms(line)[1]
     worst = 0.0
-    for s in log_xi_points():
+    for s, slope in zip(line.tolist(), slopes.tolist()):
         ref = mp_log_xi_slope(s)
-        worst = max(worst, abs(_log_xi_terms(s)[1] - ref) / max(1.0, abs(ref)))
+        worst = max(worst, abs(slope - ref) / max(1.0, abs(ref)))
     assert worst <= 1e-10
 
 
-def test_log_xi_terms_value_is_the_log_alone():
-    # the slope pass leaves the log bit for bit as the gamma factor plus log (w - 1) zeta(w)
+def test_log_xi_against_mpmath_up_to_2_pi_i():
+    # log |xi| relative; the phase up to a multiple of 2 pi, as documented
     for s in log_xi_points():
-        w = s if s.real >= 0.5 else 1 - s
-        assert _log_xi_terms(s)[0] == _log_gamma_factor(w) + cmath.log(_s1_zeta(w)), s
+        m = mp.mpc(s.real, s.imag)
+        ref = complex(mp.log(mp.gamma(m / 2 + 1) * mp.power(mp.pi, -m / 2) * (m - 1) * mp.zeta(m)))
+        got = _log_xi(s)
+        assert abs(got.real - ref.real) <= 1e-12 * abs(ref.real), s
+        turns = (got.imag - ref.imag) / math.tau
+        assert abs(turns - round(turns)) * math.tau <= 1e-10, s
 
 
 def test_log_xi_z_exponentiates_to_xi():
