@@ -214,7 +214,7 @@ def transform_numeric(phi: DensityForm, z: complex) -> TransformEvaluation:
         return TransformEvaluation(val, err + tail_bound)
 
     kmax = max(100.0, 20.0 * r)
-    lo = phi.a if phi.kind in _CUTOFF_KINDS else 0.0
+    lo = min(phi.a, kmax) if phi.kind in _CUTOFF_KINDS else 0.0
     seeds = [s for s in (0.5 * r, r, 4 * r) if lo < s < kmax]
     budget = max_evals - max_evals // 5
     val, err, evals = integrate(

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from zetaprod import cli, transforms
 from zetaprod.errors import ConvergenceError, DomainError, ProximityError, SingularityError
 from zetaprod.specfun import xi_z
 from zetaprod.transforms import (
@@ -142,6 +143,49 @@ def test_sawtooth_transform_closed_form():
         ref = math.log(0.5) + math.log1p(math.exp(-2 * math.pi * z))
         assert abs(got.value - ref) <= max(3 * got.abs_error_estimate, 1e-9)
         assert got.abs_error_estimate < 1e-6
+
+
+def test_cutoff_beyond_the_finite_range():
+    # a = 150 lies past k_max = 100, so the whole support is the mapped tail
+    z = 1 + 0.5j
+    got = transform_numeric(DensityForm(DensityKind.UNIT_STEP, a=150.0), z)
+    assert abs(got.value - cmath.log(1 + z * z / 150.0 ** 2)) <= got.abs_error_estimate <= 2e-10
+
+
+def _count_quadrature(monkeypatch) -> dict[str, int]:
+    """Count the quadrature evaluations of transforms from here on, and the
+    integrand calls that carry them."""
+    counts = {"evals": 0, "calls": 0}
+    integrate = transforms.integrate
+
+    def counted(f, *args, **kwargs):
+        def integrand(x):
+            counts["calls"] += 1
+            return f(x)
+
+        value, err, evals = integrate(integrand, *args, **kwargs)
+        counts["evals"] += evals
+        return value, err, evals
+
+    monkeypatch.setattr(transforms, "integrate", counted)
+    return counts
+
+
+def test_sawtooth_quadrature_cost(monkeypatch):
+    # 502 panels of the initial partition in two calls, then one split whose
+    # halves take one call each; ceilings that may only tighten
+    counts = _count_quadrature(monkeypatch)
+    transform_numeric(DensityForm(DensityKind.SAWTOOTH_PERIODIC, a=1.0), 5.0)
+    assert 0 < counts["evals"] <= 7560
+    assert 0 < counts["calls"] <= 4
+
+
+def test_verify_table_quadrature_cost(monkeypatch, capsys):
+    counts = _count_quadrature(monkeypatch)
+    assert cli.main(["verify-table", "--all-pairs"]) == 0
+    assert "agree=false" not in capsys.readouterr().out
+    assert 0 < counts["evals"] <= 17925
+    assert 0 < counts["calls"] <= 1072
 
 
 # ---------------------------------------------------------- identities
