@@ -88,33 +88,31 @@ def integrate(
 
     ``f`` must accept a float ndarray and return values castable to complex128.
     Refinement stops once the summed per-panel estimate drops below
-    ``max(abs_tol, rel_tol * |value|)``; exceeding ``max_evals`` first raises
-    :class:`ConvergenceError`.  The bounds must be finite with lo <= hi.
+    ``max(abs_tol, rel_tol * |value|)``; exceeding ``max_evals`` first, or an
+    estimate that is not finite, raises :class:`ConvergenceError`.  The
+    bounds must be finite with lo <= hi.
     """
     lo, hi = float(lo), float(hi)
     if not -np.inf < lo <= hi < np.inf:
         raise DomainError(f"integrate needs finite bounds lo <= hi, got [{lo!r}, {hi!r}]")
     pts = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
-    width_floor = 1e-15 * max(abs(lo), abs(hi), 1.0)
 
     # entries (-error, seq, a, b, value, error); seq counts the panels evaluated
     vals, errs = _panels(f, np.array(pts[:-1]), np.array(pts[1:]))
     heap = [(-e, s, a, b, v, e) for s, (a, b, v, e) in enumerate(zip(pts, pts[1:], vals, errs))]
     heapq.heapify(heap)
     seq, total, err = len(heap), sum(vals, 0j), sum(errs, 0.0)
-    frozen_val, frozen_err = 0j, 0.0
 
-    while heap and err + frozen_err > max(abs_tol, rel_tol * abs(total + frozen_val)):
+    while not err <= max(abs_tol, rel_tol * abs(total)):
+        if not np.isfinite(err):
+            raise ConvergenceError(f"quadrature error estimate is {err}: "
+                                   "an integrand value is not finite")
         if 15 * seq + 30 > max_evals:
             raise ConvergenceError(f"quadrature budget of {max_evals} evaluations exhausted "
-                                   f"(error estimate {err + frozen_err:.3e})")
+                                   f"(error estimate {err:.3e})")
         _, _, a, b, val, e = heapq.heappop(heap)
         total -= val
         err -= e
-        if b - a < width_floor:
-            frozen_val += val
-            frozen_err += e
-            continue
         m = 0.5 * (a + b)
         for c, d in ((a, m), (m, b)):
             (v2,), (e2,) = _panels(f, np.array([c]), np.array([d]))
@@ -123,4 +121,4 @@ def integrate(
             total += v2
             err += e2
 
-    return total + frozen_val, err + frozen_err, 15 * seq
+    return total, err, 15 * seq

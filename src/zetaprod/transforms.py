@@ -23,6 +23,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     ProximityError,
+    RangeError,
     SingularityError,
 )
 from .specfun import PI, TWO_PI
@@ -101,15 +102,22 @@ class DensityKind(Enum):
     SAWTOOTH_PERIODIC = "sawtooth_periodic"  # saw(k / a), period a
 
 
-_CUTOFF_KINDS = frozenset({
-    DensityKind.UNIT_STEP,
-    DensityKind.K_STEP,
-    DensityKind.LNK_STEP,
-    DensityKind.K_LNK_STEP,
-    DensityKind.LNK_OVER_K_STEP,
-    DensityKind.INV_K_STEP,
-    DensityKind.INV_K2_STEP,
-})
+#: Each kind's formula f(k, a) on its support, and whether that support is
+#: k >= a, the density being 0 below the cutoff a, rather than all k > 0.
+_DENSITIES = {
+    DensityKind.UNIT_STEP: (lambda k, a: np.ones_like(k), True),
+    DensityKind.K_STEP: (lambda k, a: k, True),
+    DensityKind.LNK_STEP: (lambda k, a: np.log(k), True),
+    DensityKind.K_LNK_STEP: (lambda k, a: k * np.log(k), True),
+    DensityKind.LNK_OVER_K_STEP: (lambda k, a: np.log(k) / k, True),
+    DensityKind.K_SQRT_K: (lambda k, a: k * np.sqrt(k), False),
+    DensityKind.K_SQRT_K_LNK: (lambda k, a: k * np.sqrt(k) * np.log(k), False),
+    DensityKind.INV_K_STEP: (lambda k, a: 1.0 / k, True),
+    DensityKind.INV_K2_STEP: (lambda k, a: 1.0 / k ** 2, True),
+    DensityKind.SAWTOOTH_PERIODIC: (lambda k, a: -(k / a - np.floor(k / a + 0.5)), False),
+}
+
+_CUTOFF_KINDS = frozenset(kind for kind, (_, cutoff) in _DENSITIES.items() if cutoff)
 
 
 @dataclass(frozen=True)
@@ -133,32 +141,13 @@ class DensityForm:
 
     def __call__(self, k):
         k = np.asarray(k, dtype=float)
-        kind = self.kind
-        if kind is DensityKind.SAWTOOTH_PERIODIC:
-            x = k / self.a
-            out = -(x - np.floor(x + 0.5))
-        elif kind is DensityKind.K_SQRT_K:
-            out = k * np.sqrt(k)
-        elif kind is DensityKind.K_SQRT_K_LNK:
-            out = k * np.sqrt(k) * np.log(k)
-        else:
+        formula, cutoff = _DENSITIES[self.kind]
+        if cutoff:
             out = np.zeros_like(k)
             m = k >= self.a
-            km = k[m]
-            if kind is DensityKind.UNIT_STEP:
-                out[m] = 1.0
-            elif kind is DensityKind.K_STEP:
-                out[m] = km
-            elif kind is DensityKind.LNK_STEP:
-                out[m] = np.log(km)
-            elif kind is DensityKind.K_LNK_STEP:
-                out[m] = km * np.log(km)
-            elif kind is DensityKind.LNK_OVER_K_STEP:
-                out[m] = np.log(km) / km
-            elif kind is DensityKind.INV_K_STEP:
-                out[m] = 1.0 / km
-            else:  # INV_K2_STEP
-                out[m] = 1.0 / km ** 2
+            out[m] = formula(k[m], self.a)
+        else:
+            out = formula(k, self.a)
         if out.ndim == 0:
             return float(out)
         return out
@@ -186,15 +175,19 @@ def transform_numeric(phi: DensityForm, z: complex) -> TransformEvaluation:
     returns the value with an honest absolute error estimate (targets:
     2e-10 absolute, 2e-9 relative, at most 1e6 evaluations).  Requires
     |arg z| < pi/4 so the denominator k^2 + z^2 stays away from the
-    positive k-axis.  The sawtooth kind, which the substitution would make
-    nonsmooth, instead integrates period by period out to
-    max(500, 20 |z|) and adds an analytic tail bound to the estimate.
+    positive k-axis, and |z| <= 1e100, else :class:`RangeError`: from about
+    2.8e101, k (k^2 + z^2) overflows at k_max, so the integrand reads 0
+    there and a wrong value looks converged.  The sawtooth kind, which the
+    substitution would make nonsmooth, instead integrates period by period
+    out to max(500, 20 |z|) and adds an analytic tail bound to the estimate.
     """
     z = complex(z)
     if not (z.real > 0 and abs(z.imag) < z.real):
         raise DomainError("transform_numeric requires |arg z| < pi/4")
     zz = z * z
     r = abs(z)
+    if r > 1e100:
+        raise RangeError(f"transform_numeric supports |z| <= 1e100, got {r:g}")
     abs_tol, rel_tol, max_evals = 2e-10, 2e-9, 1_000_000
 
     def g(k):

@@ -193,10 +193,11 @@ class ZeroList:
         return cls._parse(text.splitlines(), None)
 
 
-#: Most points one call of the array kernel evaluates: the scan's points in
-#: order, or the next points of as many brackets refined in lockstep.  For
-#: find_zeros(990.92), blocks of 16 to 48 were slower, and 96 to 256 within
-#: the noise of 64 (best of 21 runs: 33.0, 32.2 and 37.2 ms against 35.1 ms).
+#: Most points one call of the array kernel evaluates, read only by
+#: _line_values: the scan's points in order, or the next points of the
+#: brackets refined in lockstep.  For find_zeros(990.92), blocks of 16 to 48
+#: were slower, and 96 to 256 within the noise of 64 (best of 21 runs: 33.0,
+#: 32.2 and 37.2 ms against 35.1 ms).
 _BLOCK = 64
 
 
@@ -288,9 +289,8 @@ def _hermite_root(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 def _bisect_sign_change(lo, g_lo, d_lo, hi, g_hi, d_hi):
-    """Roots of g = _line_values in the brackets (lo, hi), where g_lo and
-    g_hi differ in sign: six scalars give one root as a float, six columns
-    of at most _BLOCK brackets an array of them.
+    """Roots of g = _line_values in the brackets (lo, hi), six columns with
+    one entry per bracket, where g_lo and g_hi differ in sign.
 
     The brackets are refined in lockstep: in each round every unfinished
     bracket proposes its next point, the root of :func:`_hermite_root`, and
@@ -307,8 +307,6 @@ def _bisect_sign_change(lo, g_lo, d_lo, hi, g_hi, d_hi):
     also stops, at the point it proposes.  The name is the one
     bench/tracing.py wraps to count refinement evaluations.
     """
-    scalar = np.ndim(lo) == 0
-    lo, g_lo, d_lo, hi, g_hi, d_hi = np.atleast_1d(lo, g_lo, d_lo, hi, g_hi, d_hi)
     roots = np.empty(len(lo))
     live, positive = np.arange(len(lo)), g_lo > 0
     nodes = np.array([(hi, g_hi, d_hi), (lo, g_lo, d_lo)], dtype=float)
@@ -322,7 +320,7 @@ def _bisect_sign_change(lo, g_lo, d_lo, hi, g_hi, d_hi):
         go = ~done
         live, lo, hi, positive, nodes, t = live[go], lo[go], hi[go], positive[go], nodes[..., go], t[go]
         if not len(live):
-            return float(roots[0]) if scalar else roots
+            return roots
         g, dg = _line_values(t).T
         right = (g > 0) == positive
         lo, hi = np.where(right, t, lo), np.where(right, hi, t)
@@ -411,9 +409,9 @@ def find_zeros(t_max: float) -> ZeroList:
     rescaled real xi from the root of the same cubic, restarting at the
     root of the quintic Hermite interpolant through the last three points,
     both found by :func:`_hermite_root` (see :func:`_bisect_sign_change`),
-    about 2.2 points per zero, in blocks of _BLOCK brackets refined in
-    lockstep; the returned ordinates lie within 2e-12 of the true zeros.
-    Both phases evaluate xi on the line in arrays of at most _BLOCK points.
+    about 2.2 points per zero, all brackets refined in lockstep; the
+    returned ordinates lie within 2e-12 of the true zeros.  Both phases
+    evaluate xi on the line in arrays of at most _BLOCK points.
     A t_max within rounding of an ordinate raises :class:`ProximityError`.
     """
     if not (t_max > 14):
@@ -421,8 +419,7 @@ def find_zeros(t_max: float) -> ZeroList:
     if t_max > 1000:
         raise RangeError("find_zeros supports t_max <= 1000")
     brackets = _sign_scan(t_max, _zero_count(t_max))
-    blocks = np.split(brackets, range(_BLOCK, len(brackets), _BLOCK))
-    return ZeroList(np.concatenate([_bisect_sign_change(*block.T) for block in blocks]), t_max=t_max)
+    return ZeroList(_bisect_sign_change(*brackets.T), t_max=t_max)
 
 
 class ResidualSample(NamedTuple):

@@ -120,3 +120,23 @@ def test_budget_exhaustion_raises():
     with pytest.raises(ConvergenceError, match="budget of 100"):
         integrate(f, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-14, max_evals=100)
     assert sum(f.sizes) == 75 and set(f.sizes) == {15}
+
+
+def test_a_nan_integrand_raises():
+    # NaN on half the interval: the first estimate is NaN, which used to end
+    # the loop as if it had converged, returning (nan+nanj, nan, 15)
+    f = _counted(lambda x: np.where(x < 0.5, np.nan, 1.0))
+    with pytest.raises(ConvergenceError, match="not finite"):
+        integrate(f, 0.0, 1.0)
+    assert f.sizes == [15]
+
+
+def test_an_infinite_integrand_value_raises():
+    # 1/sqrt|x - 0.3| is integrable, but a split puts a node on 0.3, where
+    # it is infinite; that used to return (nan, nan, 1545)
+    def f(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.sqrt(np.abs(x - 0.3))
+
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match="not finite"):
+        integrate(f, 0.0, 1.0)

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from zetaprod import cli, transforms
-from zetaprod.errors import ConvergenceError, DomainError, ProximityError, SingularityError
+from zetaprod.errors import (
+    ConvergenceError,
+    DomainError,
+    ProximityError,
+    RangeError,
+    SingularityError,
+)
 from zetaprod.specfun import xi_z
 from zetaprod.transforms import (
     ROW_VERIFICATION_PAIRS,
@@ -105,6 +111,15 @@ def test_transform_numeric_wedge():
         transform_numeric(phi, 1 + 2j)
     with pytest.raises(DomainError):
         transform_numeric(phi, -3.0)
+
+
+@pytest.mark.parametrize("z", [1e120, 1e200])
+def test_transform_numeric_range(z):
+    # k (k^2 + z^2) overflows at k_max = 20 |z| once |z| passes about
+    # 2.8e101: at 1e120 the unit step's transform read 0.0025 with an error
+    # estimate near 5e-18 (it is 2 ln z = 553), and from about 1e156 NaN
+    with pytest.raises(RangeError):
+        transform_numeric(DensityForm(DensityKind.UNIT_STEP, a=1.0), z)
 
 
 def test_transform_numeric_estimate_honest():

@@ -153,13 +153,14 @@ def _reference_ordinates() -> np.ndarray:
 def _count_evaluations(monkeypatch) -> dict[str, int]:
     """Count the points at which find_zeros evaluates xi on the line from
     here on (scan plus refinement; one call of the kernel takes an array of
-    them), those of them made refining, and the zeta samples of the zero
-    count N(t_max)."""
-    calls = {"line": 0, "refine": 0, "count": 0}
+    them), the kernel calls that take them, those of the points made
+    refining, and the zeta samples of the zero count N(t_max)."""
+    calls = {"line": 0, "line_calls": 0, "refine": 0, "count": 0, "count_calls": 0}
 
     def counted(name, fn):
         def wrapper(s):
             calls[name] += np.size(s)
+            calls[name + "_calls"] += 1
             return fn(s)
         return wrapper
 
@@ -215,6 +216,18 @@ def test_find_zeros_evaluation_counts(monkeypatch):
     calls["line"] = 0
     assert len(find_zeros(500.0)) == 269
     assert calls["line"] <= 867
+
+
+def test_find_zeros_kernel_calls(monkeypatch):
+    # deterministic cost gate, in calls of the line kernel: one for the 30
+    # grid points of find_zeros(100) and one per round of refinement, since
+    # every bracket of the scan is refined in one lockstep pass and a round
+    # takes more than one call only while over _BLOCK brackets are left
+    calls = _count_evaluations(monkeypatch)
+    for t_max, ceiling in ((100.0, 4), (500.0, 17), (1000.0, 36)):
+        calls["line_calls"] = 0
+        find_zeros(t_max)
+        assert calls["line_calls"] <= ceiling, t_max
 
 
 def _scalar_line_value(t: float) -> float:
@@ -348,6 +361,13 @@ def test_newton_stop_rule_bound():
     assert worst * 8e-7 ** 2 <= 2e-12
 
 
+def _refine_one(*bracket: float) -> float:
+    """_bisect_sign_change on one bracket (lo, g_lo, d_lo, hi, g_hi, d_hi),
+    passed as six one-element columns."""
+    (root,) = zerodist._bisect_sign_change(*np.array(bracket)[:, None])
+    return float(root)
+
+
 def test_refinement_bisects_a_step_that_leaves_the_bracket():
     # With these end slopes the cubic start lands near 11.13, where g has a
     # maximum and Newton's step aims at -9.9, far outside [10, 17.85].
@@ -358,8 +378,7 @@ def test_refinement_bisects_a_step_that_leaves_the_bracket():
     start = zerodist._hermite_root(nodes, lo, hi, g_lo > 0)[0]
     g, dg = zerodist._line_values([start])[0]
     assert not lo < start - g / dg < hi
-    root = zerodist._bisect_sign_change(lo, g_lo, 0.0, hi, g_hi, 500.0)
-    assert type(root) is float
+    root = _refine_one(lo, g_lo, 0.0, hi, g_hi, 500.0)
     assert abs(root - ZeroList.read(REFERENCE).ordinates[0]) <= 1e-11
 
 
@@ -401,7 +420,7 @@ def test_refinement_from_an_exact_start(monkeypatch, start):
     monkeypatch.setattr(zerodist, "_hermite_root", first_at_start)
     lo, hi = z - 0.3, z + 0.4
     (g_lo, d_lo), (g_hi, d_hi) = zerodist._line_values([lo, hi])
-    assert abs(zerodist._bisect_sign_change(lo, g_lo, d_lo, hi, g_hi, d_hi) - z) <= 1e-11
+    assert abs(_refine_one(lo, g_lo, d_lo, hi, g_hi, d_hi) - z) <= 1e-11
 
 
 @settings(max_examples=300)
@@ -415,9 +434,8 @@ def test_refinement_from_any_bracket_around_a_zero(i, u, v):
     above = float(zeros[i + 1]) if i + 1 < len(zeros) else 1000.0
     lo, hi = z - u * (z - below), z + v * (above - z)
     (g_lo, d_lo), (g_hi, d_hi) = zerodist._line_values([lo, hi])
-    bracket = (lo, g_lo, d_lo, hi, g_hi, d_hi)
-    assert (bracket[1] > 0) != (bracket[4] > 0)
-    assert abs(zerodist._bisect_sign_change(*bracket) - z) <= 1e-11
+    assert (g_lo > 0) != (g_hi > 0)
+    assert abs(_refine_one(lo, g_lo, d_lo, hi, g_hi, d_hi) - z) <= 1e-11
 
 
 def test_find_zeros_cluster_error(monkeypatch):
