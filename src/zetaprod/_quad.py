@@ -96,6 +96,9 @@ def integrate(
     if not -np.inf < lo <= hi < np.inf:
         raise DomainError(f"integrate needs finite bounds lo <= hi, got [{lo!r}, {hi!r}]")
     pts = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
+    if 15 * (len(pts) - 1) > max_evals:
+        raise ConvergenceError(f"quadrature budget of {max_evals} evaluations exhausted "
+                               f"by the {len(pts) - 1} initial panels")
 
     # entries (-error, seq, a, b, value, error); seq counts the panels evaluated
     vals, errs = _panels(f, np.array(pts[:-1]), np.array(pts[1:]))

@@ -278,8 +278,8 @@ def _log_xi(s: complex) -> complex:
 
 def _accumulate(ufunc, first, rest, width: int) -> np.ndarray:
     """ufunc.accumulate along each row of [first | rest], with first a column of
-    points and rest broadcast to the other width - 1 columns: a scalar loop's
-    running product, quotient or sum, in its order, so with its rounding."""
+    points and rest broadcast to the other width - 1 columns: the running
+    products, quotients or sums of a series' terms, one row per point."""
     cols = np.empty((len(first), width), dtype=complex)
     cols[:, 0] = first
     cols[:, 1:] = rest
@@ -287,19 +287,14 @@ def _accumulate(ufunc, first, rest, width: int) -> np.ndarray:
 
 
 def _series(tot, terms, dtot, dterms) -> tuple[np.ndarray, np.ndarray]:
-    """tot plus the columns of terms, and dtot plus those of dterms, up to the
-    first column at which every point's term is below 1e-16 of its running
-    total, or else the last, as the scalar loops sum them.  A last term not
-    below 1e-16 of the larger of 1 and its total means the table ran out
-    first: :class:`ConvergenceError`.  The floor 1, zeta's leading term,
-    lets a series end at a zero of zeta, where the total is rounding."""
-    width = terms.shape[1]
-    sums = _accumulate(np.add, tot, terms, width + 1)[:, 1:]
-    done = np.all(np.abs(terms) < 1e-16 * np.abs(sums), axis=0)
-    k = int(np.argmax(done)) if done.any() else width - 1
-    if not np.all(np.abs(terms[:, k]) < 1e-16 * np.maximum(np.abs(sums[:, k]), 1.0)):
-        raise ConvergenceError(f"a series on the critical line ran past its {width} terms")
-    return sums[:, k], _accumulate(np.add, dtot, dterms[:, :k + 1], k + 2)[:, -1]
+    """tot plus every column of terms, and dtot plus every column of dterms.
+    A last term not below 1e-16 of the larger of 1 and its total means the
+    table ran out first: :class:`ConvergenceError`.  The floor 1, zeta's
+    leading term, lets a series end at a zero of zeta, whose total is rounding."""
+    total = tot + terms.sum(axis=1)
+    if not np.all(np.abs(terms[:, -1]) < 1e-16 * np.maximum(np.abs(total), 1.0)):
+        raise ConvergenceError(f"a series on the critical line ran past its {terms.shape[1]} terms")
+    return total, dtot + dterms.sum(axis=1)
 
 
 def _log_xi_terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,14 +311,14 @@ def _log_xi_terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The Dirichlet head n^(-s) is a (points x N) array, exponentiated in
     place a slice of columns at a time, with one cutoff N for all points
     taken from the largest |t|: a larger N only shrinks a point's
-    Euler-Maclaurin remainder.  The log-gamma shift is masked to the points
-    that still need it.  The Stirling and Bernoulli terms are (points x K)
-    arrays, summed as the scalar loops sum them (:func:`_series`).
+    Euler-Maclaurin remainder.  Log-gamma shifts every point by the same 11
+    steps of the recurrence.  The Stirling and Bernoulli terms are
+    (points x K) arrays, summed whole (:func:`_series`).
 
     The cutoff is N = |t|/4 + 10 with terms to B_80 (_EM_LINE), not |t|/2 + 10
     with B_30 as in :func:`_zeta_em`: near |t| = 1000 the shorter head takes
     about 40 terms, a few more columns of one array here but more rounds of a
-    Python loop there, which made the scalar path slower (ROADMAP item 4).
+    Python loop there, which made the scalar path slower.
     Callers pass at most 64 points, so no array here exceeds _HEAD_ENTRIES.
     """
     t_top = float(np.max(np.abs(s.imag)))
@@ -331,18 +326,12 @@ def _log_xi_terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise RangeError(f"_log_xi_terms supported for |Im s| <= {IM_MAX:g}")
     if np.any(s.real != 0.5):
         raise DomainError("_log_xi_terms takes points on the critical line only")
-    # log-gamma at s/2 + 1 and its digamma by the shifted Stirling series:
-    # re(s/2 + 1) = 5/4, so every point takes one step of the recurrence,
-    # and those below t = 23.6, where |s/2 + 2| < 12, take more
-    a = s / 2 + 2
-    shift, dshift = np.log(a - 1), 1 / (a - 1)
-    need = np.abs(a) < 12.0
-    while need.any():
-        low = a[need]
-        shift[need] += np.log(low)
-        dshift[need] += 1 / low
-        a[need] = low + 1
-        need = np.abs(a) < 12.0
+    # log-gamma at s/2 + 1 and its digamma by the Stirling series at
+    # a = s/2 + 12: re(s/2 + 1) = 5/4, so 11 steps of the recurrence give
+    # |a| >= 12.25 at every t, as the scalar rule |a| >= 12 asks
+    steps = s[:, None] / 2 + np.arange(1, 12)
+    shift, dshift = np.log(steps).sum(axis=1), (1 / steps).sum(axis=1)
+    a = s / 2 + 12
     log_a = np.log(a)
     rec = 1 / a
     # the terms c_k a^(1 - 2k) of log-gamma; digamma takes -(2k - 1) c_k a^(-2k) each

@@ -179,7 +179,8 @@ def transform_numeric(phi: DensityForm, z: complex) -> TransformEvaluation:
     2.8e101, k (k^2 + z^2) overflows at k_max, so the integrand reads 0
     there and a wrong value looks converged.  The sawtooth kind, which the
     substitution would make nonsmooth, instead integrates period by period
-    out to max(500, 20 |z|) and adds an analytic tail bound to the estimate.
+    out to max(500, 20 |z|), if the budget covers 15 evaluations a period,
+    and adds an analytic tail bound to the estimate.
     """
     z = complex(z)
     if not (z.real > 0 and abs(z.imag) < z.real):
@@ -196,12 +197,15 @@ def transform_numeric(phi: DensityForm, z: complex) -> TransformEvaluation:
     if phi.kind is DensityKind.SAWTOOTH_PERIODIC:
         kmax = max(500.0, 20.0 * r)
         period = phi.a
+        # one panel per period at least: refuse before building the breakpoints
+        if 15 * kmax / period > max_evals:
+            raise ConvergenceError(f"quadrature budget of {max_evals} evaluations exhausted "
+                                   f"({kmax / period:.3g} periods below k_max = {kmax:g})")
         jumps = np.arange(0.5 * period, kmax, period)
-        seeds = [*jumps, r] if 0 < r < kmax else list(jumps)
         val, err, evals = integrate(
             g, 0.0, kmax,
             abs_tol=abs_tol, rel_tol=rel_tol,
-            breakpoints=seeds, max_evals=max_evals,
+            breakpoints=[*jumps, r], max_evals=max_evals,
         )
         tail_bound = period * r * r / (2.0 * kmax ** 3)
         return TransformEvaluation(val, err + tail_bound)

@@ -304,23 +304,16 @@ def _bisect_sign_change(lo, g_lo, d_lo, hi, g_hi, d_hi):
     the zero.  The slope is g' (w = 0) unless g' is more than half off the
     chord to the newest earlier node (w away): within about 1e-12 of a zero,
     where restarts can land, g' is rounding noise.  A bracket 1e-12 wide
-    also stops, at the point it proposes.  The name is the one
-    bench/tracing.py wraps to count refinement evaluations.
+    stops at its newest point.  Each leaves in the round that stops it.  The
+    name is the one bench/tracing.py wraps to count refinement evaluations.
     """
     roots = np.empty(len(lo))
     live, positive = np.arange(len(lo)), g_lo > 0
     nodes = np.array([(hi, g_hi, d_hi), (lo, g_lo, d_lo)], dtype=float)
-    stop, end = False, 0.0  # no bracket has taken its last step yet
-    while True:
+    while len(live):
         x = _hermite_root(nodes, lo, hi, positive)
         # rounding can put the root on an end of the bracket
-        t = np.where(stop, end, np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi)))
-        done = stop | (hi - lo <= 1e-12)
-        roots[live[done]] = t[done]
-        go = ~done
-        live, lo, hi, positive, nodes, t = live[go], lo[go], hi[go], positive[go], nodes[..., go], t[go]
-        if not len(live):
-            return roots
+        t = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
         g, dg = _line_values(t).T
         right = (g > 0) == positive
         lo, hi = np.where(right, t, lo), np.where(right, hi, t)
@@ -331,7 +324,12 @@ def _bisect_sign_change(lo, g_lo, d_lo, hi, g_hi, d_hi):
         end, size = t + step, np.abs(step)
         width = np.where(trust, 0.0, np.abs(t - near))
         stop = (size * (size + width) <= 6.4e-13) & (lo <= end) & (end <= hi)
-        nodes = np.concatenate(([(t, g, dg)], nodes[:2]))
+        done = stop | (hi - lo <= 1e-12)
+        roots[live[done]] = np.where(stop, end, t)[done]
+        go = ~done
+        live, lo, hi, positive = live[go], lo[go], hi[go], positive[go]
+        nodes = np.concatenate(([(t, g, dg)], nodes[:2]))[..., go]
+    return roots
 
 
 #: Narrowest scan interval the sign scan splits.  The grid intervals are

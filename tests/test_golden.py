@@ -83,8 +83,11 @@ CASES = (
     # no zero file: a fresh scan gives the same output as the bundled list
     (("count", "--t-max", "50"), 0,
      "da216da62c51444cbf0d5aec4782f20dfebdb4a8c9c42dd18435fd6f62965158"),
-    # the top of the supported range: 649 zeros (651 lines) and the last
-    # entries of the zeta head's log table
+    # the full height of the paper's experiment: 269 zeros, then the top of
+    # the supported range, 649 zeros (651 lines) and the last entries of the
+    # zeta head's log table
+    (("find-zeros", "--t-max", "500"), 0,
+     "19f071e726229de1bd717c9aad6cf1db24a084b61450ccae5d6d1893e07297eb"),
     (("find-zeros", "--t-max", "1000"), 0,
      "a5631956ab9806be19d48e8491dbfd4e787d76f9446060a559b67b8227b512a4"),
     (("xi-eval", "--z", "0.7,999"), 0,

@@ -122,6 +122,14 @@ def test_budget_exhaustion_raises():
     assert sum(f.sizes) == 75 and set(f.sizes) == {15}
 
 
+def test_an_initial_partition_over_budget_raises_before_a_call():
+    # ten panels are 150 evaluations, over a budget of 100
+    f = _counted(lambda x: x)
+    with pytest.raises(ConvergenceError, match="budget of 100 evaluations exhausted"):
+        integrate(f, 0.0, 10.0, breakpoints=range(1, 10), max_evals=100)
+    assert f.sizes == []
+
+
 def test_a_nan_integrand_raises():
     # NaN on half the interval: the first estimate is NaN, which used to end
     # the loop as if it had converged, returning (nan+nanj, nan, 15)

@@ -436,9 +436,12 @@ def log_xi_points() -> list[complex]:
 
 
 def test_log_xi_slope_against_mpmath():
-    # the array kernel at the points on the critical line, in one block
-    line = np.array([s for s in log_xi_points() if s.real == 0.5])
-    assert len(line) == 7
+    # the array kernel at the points on the critical line, in one block with
+    # low ones, where |s/2 + 2| < 12 (below t = 23.6) and the digamma sum of
+    # the fixed shift to s/2 + 12 carries more of the slope
+    line = np.array([s for s in log_xi_points() if s.real == 0.5]
+                    + [complex(0.5, t) for t in (10, 12, 16, 20, 23.5, 23.7, 24)])
+    assert len(line) == 14
     slopes = _log_xi_terms(line)[1]
     worst = 0.0
     for s, slope in zip(line.tolist(), slopes.tolist()):

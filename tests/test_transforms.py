@@ -195,6 +195,17 @@ def test_sawtooth_quadrature_cost(monkeypatch):
     assert 0 < counts["calls"] <= 4
 
 
+@pytest.mark.parametrize("a,z", [(5e-3, 5.0), (1.0, 5000.0)])
+def test_sawtooth_over_budget_is_refused_before_any_work(monkeypatch, a, z):
+    # a panel per period out to k_max = max(500, 20|z|) is 1.5e6 evaluations
+    # here, over the budget of 1e6: refused before a breakpoint is built,
+    # not after evaluating the 1,500,030 nodes of the initial partition
+    counts = _count_quadrature(monkeypatch)
+    with pytest.raises(ConvergenceError, match="budget of 1000000 evaluations exhausted"):
+        transform_numeric(DensityForm(DensityKind.SAWTOOTH_PERIODIC, a=a), z)
+    assert counts["calls"] == 0
+
+
 def test_verify_table_quadrature_cost(monkeypatch, capsys):
     counts = _count_quadrature(monkeypatch)
     assert cli.main(["verify-table", "--all-pairs"]) == 0

@@ -218,6 +218,25 @@ def test_find_zeros_evaluation_counts(monkeypatch):
     assert calls["line"] <= 867
 
 
+def test_find_zeros_refinement_work(monkeypatch):
+    # deterministic cost gate on the lockstep refinement of find_zeros(1000):
+    # one _hermite_root call per round, on the brackets still open in it, and
+    # a bracket leaves in the round that stops it (1,399 columns, one per
+    # refinement point); ceilings that may only tighten
+    work = {"calls": 0, "columns": 0}
+    hermite_root = zerodist._hermite_root
+
+    def counted(nodes, *bracket):
+        work["calls"] += 1
+        work["columns"] += nodes.shape[-1]
+        return hermite_root(nodes, *bracket)
+
+    monkeypatch.setattr(zerodist, "_hermite_root", counted)
+    assert len(find_zeros(1000.0)) == 649
+    assert work["calls"] <= 3
+    assert work["columns"] <= 1399
+
+
 def test_find_zeros_kernel_calls(monkeypatch):
     # deterministic cost gate, in calls of the line kernel: one for the 30
     # grid points of find_zeros(100) and one per round of refinement, since
