@@ -56,7 +56,7 @@ _WG = np.concatenate((_WG_HALF[:-1], _WG_HALF[::-1]))
 
 
 #: Panels per integrand call: 273 panels are 4,095 nodes, so each complex
-#: array stays under 64 KB, the malloc threshold of specfun._HEAD_ENTRIES.
+#: array stays under 64 KB, where a long run's peak RSS did not rise.
 _CALL_PANELS = 273
 
 

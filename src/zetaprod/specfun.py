@@ -1,7 +1,8 @@
 """Special functions built around the completed (symmetrized) zeta function.
 
 Everything here reduces to three ingredients: an Euler-Maclaurin evaluation
-of zeta to the right of the critical line, a log-gamma that shifts its
+of zeta to the right of the critical line (whose Dirichlet head an array of
+points on the line builds from prime powers), a log-gamma that shifts its
 argument by the recurrence until |a| >= 12 and then sums the Bernoulli
 Stirling series, and the regularized product (s - 1) * zeta(s) that removes
 the pole at s = 1.  Left of the line zeta, like xi, reflects through xi(s) =
@@ -45,12 +46,10 @@ _STIRLING = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, st
 # log n for the Dirichlet head of _zeta_em: as long as its cutoff at |Im s| = IM_MAX.
 _LOG_N = np.log(np.arange(1, int(IM_MAX / 2) + 10, dtype=float))
 
-# Most entries of one slice of the array kernel's Dirichlet head: 64 KB.  Slices
-# of 120 KB or more came from the top of malloc's heap, where a long-running
-# caller's growing list then stayed until it had to be copied out whole: about
-# 3 MB more peak RSS in a 30 s benchmark run.  At 64 KB the list moves to a
-# mapping of its own early, as it does when only the scalar path runs.
-_HEAD_ENTRIES = 4096
+# n's smallest prime factor below the line kernel's largest cutoff (n itself at 0, 1 and primes).
+_SPF = np.arange(int(IM_MAX / 4) + 10)
+for _p in range(math.isqrt(len(_SPF) - 1), 1, -1):  # downwards: the smallest p writes last
+    _SPF[_p * _p::_p] = _p
 
 
 def _em_coefficients():
@@ -308,18 +307,18 @@ def _log_xi_terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where xi itself underflows.  Raises :class:`RangeError` beyond
     |Im s| <= 1000, like :func:`xi_s`.
 
-    The Dirichlet head n^(-s) is a (points x N) array, exponentiated in
-    place a slice of columns at a time, with one cutoff N for all points
-    taken from the largest |t|: a larger N only shrinks a point's
-    Euler-Maclaurin remainder.  Log-gamma shifts every point by the same 11
-    steps of the recurrence.  The Stirling and Bernoulli terms are
-    (points x K) arrays, summed whole (:func:`_series`).
+    The Dirichlet head n^(-s) is an (N x points) table with one cutoff N for
+    all points, from the largest |t|: a larger N only shrinks a point's
+    Euler-Maclaurin remainder.  n^(-s) is completely multiplicative, so only
+    prime rows take exp (54 below N = 257) and a composite row is the product
+    of the rows of p = _SPF[n] and n / p, one gather per dyadic block of n
+    (Borwein, Bradley and Crandall, J. Comput. Appl. Math. 121 (2000)).  The
+    Stirling and Bernoulli terms are (points x K) arrays, summed whole.
 
     The cutoff is N = |t|/4 + 10 with terms to B_80 (_EM_LINE), not |t|/2 + 10
     with B_30 as in :func:`_zeta_em`: near |t| = 1000 the shorter head takes
     about 40 terms, a few more columns of one array here but more rounds of a
     Python loop there, which made the scalar path slower.
-    Callers pass at most 64 points, so no array here exceeds _HEAD_ENTRIES.
     """
     t_top = float(np.max(np.abs(s.imag)))
     if t_top > IM_MAX:
@@ -341,15 +340,16 @@ def _log_xi_terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                              log_a - 0.5 * rec, -(odd * terms * rec[:, None]))
     # Euler-Maclaurin zeta and zeta' (see _zeta_em)
     big_n = max(20, int(t_top / 4) + 10)
-    tot, dtot = np.zeros_like(s), np.zeros_like(s)
-    width = max(1, _HEAD_ENTRIES // len(s))
-    for lo in range(0, big_n - 1, width):
-        cols = slice(lo, min(lo + width, big_n - 1))
-        powers = np.multiply.outer(s, -_LOG_N[cols])
-        np.exp(powers, out=powers)
-        tot += powers.sum(axis=1)
-        powers *= _LOG_N[cols]  # a matrix product goes to BLAS, whose threads spin on a busy CPU
-        dtot -= powers.sum(axis=1)
+    n = np.arange(2, big_n)
+    head = np.empty((big_n, len(s)), dtype=complex)  # row n is n^(-s) from n = 2 on
+    prime = n[_SPF[n] == n]
+    head[prime] = np.exp(np.multiply.outer(-_LOG_N[prime - 1], s))
+    for k in range(2, big_n.bit_length()):  # composites in [2^k, 2^(k+1)): n / p <= n / 2 is done
+        m = n[(n >> k == 1) & (_SPF[n] != n)]
+        head[m] = head[_SPF[m]] * head[m // _SPF[m]]
+    tot = 1 + head[2:].sum(axis=0)
+    head[2:] *= _LOG_N[1:big_n - 1, None]  # a matrix product goes to BLAS, whose threads spin on a busy CPU
+    dtot = -head[2:].sum(axis=0)
     log_n = math.log(big_n)
     half = 0.5 * np.exp(-log_n * s)
     edge = 2 * big_n * half / (s - 1)

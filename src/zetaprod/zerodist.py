@@ -195,9 +195,9 @@ class ZeroList:
 
 #: Most points one call of the array kernel evaluates, read only by
 #: _line_values: the scan's points in order, or the next points of the
-#: brackets refined in lockstep.  For find_zeros(990.92), blocks of 16 to 48
-#: were slower, and 96 to 256 within the noise of 64 (best of 21 runs: 33.0,
-#: 32.2 and 37.2 ms against 35.1 ms).
+#: brackets refined in lockstep.  For find_zeros(990.92), blocks of 32 were
+#: slower, and 128 within the noise of 64 (best of 21 runs in two sets: 24.3
+#: and 23.4, and 17.2 and 19.3 ms, against 18.0 and 19.0 ms).
 _BLOCK = 64
 
 

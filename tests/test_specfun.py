@@ -418,6 +418,49 @@ def test_log_xi_terms_range():
         _log_xi_terms(np.array([0.5 + 1200j]))
 
 
+def test_line_kernel_head_agrees_with_the_scalar_path_at_every_cutoff():
+    # One block per point, so each point sets the cutoff N = max(20, t/4 + 10):
+    # t = 4 (N - 10) gives N, and just below it N - 1, where the head is
+    # thinnest, for every N from 20 to 260.  The kernel builds the head from
+    # prime powers in dyadic blocks of n; the scalar _log_xi takes exp of
+    # every term of a head of t/2 + 10.  Both agree to about 1e-12 of log xi,
+    # the phase up to a multiple of 2 pi: at worst 2.4e-10 against |log xi| =
+    # 1,600 at t = 776, near a zero of zeta (|zeta| = 8e-4), or 1.5e-13.
+    ts = [4.0 * (n - 10) - below for n in range(20, 261) for below in (0.0, 1e-9)]
+    for t in ts:
+        got = complex(_log_xi_terms(np.array([0.5 + 1j * t]))[0][0])
+        ref = _log_xi(complex(0.5, t))
+        turns = round((got.imag - ref.imag) / math.tau)
+        assert abs(got - ref - 1j * math.tau * turns) <= 1e-12 * abs(ref), t
+
+
+def test_line_kernel_takes_exp_only_at_the_primes(monkeypatch):
+    # A composite read as prime would still give the right value, through
+    # exp, so only the work shows a wrong sieve: _SPF[n] must be the
+    # smallest prime factor of n, and a head cut at N = 257 (t = 988) takes
+    # exp at its 54 primes below 257, besides the two boundary powers N^(-s)
+    # and N^(-s-1), at each of the 64 points.
+    spf = specfun._SPF.tolist()
+    assert len(spf) == 260
+    for n in range(2, len(spf)):
+        p = spf[n]
+        assert n % p == 0 and all(p % q for q in range(2, p)), n
+        assert all(n % q for q in range(2, p)), n
+    entries = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            entries.append(np.size(x))
+            return np.exp(x)
+
+    monkeypatch.setattr(specfun, "np", CountingNumpy())
+    _log_xi_terms(0.5 + 1j * np.linspace(925.0, 988.0, 64))
+    assert sorted(entries) == [64, 64, 54 * 64]
+
+
 def mp_log_xi_slope(s: complex) -> complex:
     s = mp.mpc(s.real, s.imag)
     return complex(mp.digamma(s / 2 + 1) / 2 - mp.log(mp.pi) / 2 + 1 / (s - 1)
