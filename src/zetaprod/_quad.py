@@ -39,16 +39,9 @@ _WK_HALF = np.array([
     0.2044329400752989,
     0.2094821410847278,
 ])
-_WG_HALF = np.array([
-    0.0,
-    0.1294849661688697,
-    0.0,
-    0.2797053914892767,
-    0.0,
-    0.3818300505051189,
-    0.0,
-    0.4179591836734694,
-])
+# The embedded 7-point Gauss rule weights every other node, from the second.
+_WG_HALF = np.zeros(8)
+_WG_HALF[1::2] = 0.1294849661688697, 0.2797053914892767, 0.3818300505051189, 0.4179591836734694
 
 _XK = np.concatenate((-_XK_HALF[:-1], _XK_HALF[::-1]))
 _WK = np.concatenate((_WK_HALF[:-1], _WK_HALF[::-1]))

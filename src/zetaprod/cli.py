@@ -202,8 +202,7 @@ def _cmd_cosh_demo(args: argparse.Namespace, write: Write) -> list[str]:
 def _cmd_find_zeros(args: argparse.Namespace, write: Write) -> list[str]:
     zeros = find_zeros(args.t_max)
     write(zeros.to_text())
-    if args.output_path is not None:
-        print(f"wrote {len(zeros)} zeros to {args.output_path}")
+    args.wrote = f"wrote {len(zeros)} zeros to {args.output_path}"  # main prints it after closing
     return []
 
 
@@ -413,7 +412,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ZetaprodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
+    if "wrote" in args and args.output_path is not None:
+        print(args.wrote)
     if failures:
         print("FAIL: " + "; ".join(failures), file=sys.stderr)
         return 1

@@ -51,19 +51,27 @@ _SPF = np.arange(int(IM_MAX / 4) + 10)
 for _p in range(math.isqrt(len(_SPF) - 1), 1, -1):  # downwards: the smallest p writes last
     _SPF[_p * _p::_p] = _p
 
+# The line kernel's head plan, which each call cuts at its N by searchsorted.
+# A head table holds n^(-s) in row _ROW[n]: the composites below N ascending
+# from the front, the primes below N descending from the back, so no row moves
+# with N.  Composite m is the product of the rows _FACTORS of p = _SPF[m] and
+# m / p <= m / 2, one dyadic block [2^k, 2^(k+1)) of m at a time.
+_n = np.arange(2, len(_SPF))
+_PRIMES, _COMPOSITES = _n[_SPF[_n] == _n], _n[_SPF[_n] != _n]
+_ROW = np.zeros(len(_SPF), dtype=int)
+_ROW[_COMPOSITES], _ROW[_PRIMES] = np.arange(len(_COMPOSITES)), -1 - np.arange(len(_PRIMES))
+_FACTORS = _ROW[_SPF[_COMPOSITES]], _ROW[_COMPOSITES // _SPF[_COMPOSITES]]
+_BLOCK_ENDS = np.searchsorted(_COMPOSITES, 2 ** np.arange(2, len(_SPF).bit_length() + 1))
+_HEAD_LOG = _LOG_N[np.concatenate((_COMPOSITES, _PRIMES[::-1])) - 1]
+# Points per head table, and so per cutoff N: at most 257 x 64 x 16 B = 263 KB.
+_HEAD_POINTS = 64
 
-def _em_coefficients():
-    """(B_2k / (2k)!, 2k) for the Bernoulli corrections of _zeta_em, with
-    (2k)! built up in floats one factor pair at a time, which fixes how the
-    coefficients round."""
-    coef, fact = [], 2.0
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        coef.append((b2k / fact, 2 * k))
-        fact *= (2 * k + 1) * (2 * k + 2)
-    return tuple(coef)
-
-
-_EM_COEF = _em_coefficients()
+# (B_2k / (2k)!, 2k) for the Bernoulli corrections of _zeta_em, with (2k)! built
+# up in floats one factor pair at a time, which fixes how the coefficients round.
+_EM_COEF, _fact = [], 2.0
+for _k, _b in enumerate(_BERNOULLI, start=1):
+    _EM_COEF.append((_b / _fact, 2 * _k))
+    _fact *= (2 * _k + 1) * (2 * _k + 2)
 
 # B_2k / (2k)! for k = 1 .. 40, for the array kernel's shorter head: those of
 # _EM_COEF, then (-1)^(k+1) 2 zeta(2k) / (2 pi)^2k with zeta(2k) to four terms.
@@ -278,7 +286,7 @@ def _log_xi(s: complex) -> complex:
 def _accumulate(ufunc, first, rest, width: int) -> np.ndarray:
     """ufunc.accumulate along each row of [first | rest], with first a column of
     points and rest broadcast to the other width - 1 columns: the running
-    products, quotients or sums of a series' terms, one row per point."""
+    products or sums of a series' terms, one row per point."""
     cols = np.empty((len(first), width), dtype=complex)
     cols[:, 0] = first
     cols[:, 1:] = rest
@@ -296,40 +304,57 @@ def _series(tot, terms, dtot, dterms) -> tuple[np.ndarray, np.ndarray]:
     return total, dtot + dterms.sum(axis=1)
 
 
+def _head(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cutoff N = max(20, |t|/4 + 10) at the largest |t| of s, and sum n^(-s)
+    over 0 < n < N with its slope in s, at each point, from one table of n^(-s)
+    laid out by _ROW: exp at the primes, one product at each composite."""
+    big_n = max(20, int(np.max(np.abs(s.imag)) / 4) + 10)
+    n_comp, n_prime = np.searchsorted(_COMPOSITES, big_n), np.searchsorted(_PRIMES, big_n)
+    head = np.empty((n_comp + n_prime, len(s)), dtype=complex)
+    head[n_comp:] = np.exp(np.multiply.outer(-_HEAD_LOG[-n_prime:], s))
+    for begin, end in zip(_BLOCK_ENDS, np.minimum(_BLOCK_ENDS[1:], n_comp)):
+        if begin < end:
+            np.multiply(head[_FACTORS[0][begin:end]], head[_FACTORS[1][begin:end]], out=head[begin:end])
+    # not a matrix product, which goes to BLAS, whose threads spin on a busy CPU
+    log_rows = np.concatenate((_HEAD_LOG[:n_comp], _HEAD_LOG[-n_prime:]))
+    slope = -np.einsum("n,nj->j", log_rows, head.view(float)).view(complex)
+    return np.full(len(s), big_n), 1 + head.sum(axis=0), slope
+
+
 def _log_xi_terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pair (log xi_s, d log xi_s / ds) at each point of the 1-D array s,
     all on the critical line, as two arrays from one vectorised pass.
 
-    The log agrees with :func:`_log_xi` to about 1e-12.  The slope is
-    psi(s/2 + 1)/2 - (ln pi)/2 + 1/(s - 1) + zeta'/zeta, from the same
-    Stirling and Euler-Maclaurin passes; near a zero of xi it is dominated
-    by rounding in zeta'/zeta.  Used for the sign scan and root refinement,
-    where xi itself underflows.  Raises :class:`RangeError` beyond
-    |Im s| <= 1000, like :func:`xi_s`.
+    The log agrees with :func:`_log_xi` to about 1e-12, up to a multiple of
+    2 pi i.  The slope is psi(s/2 + 1)/2 - (ln pi)/2 + 1/(s - 1) + zeta'/zeta,
+    from the same Stirling and Euler-Maclaurin passes; near a zero of xi it
+    is dominated by rounding in zeta'/zeta.  Used for the sign scan and root
+    refinement, where xi itself underflows.  Raises :class:`RangeError`
+    beyond |Im s| <= 1000, like :func:`xi_s`.
 
-    The Dirichlet head n^(-s) is an (N x points) table with one cutoff N for
-    all points, from the largest |t|: a larger N only shrinks a point's
-    Euler-Maclaurin remainder.  n^(-s) is completely multiplicative, so only
-    prime rows take exp (54 below N = 257) and a composite row is the product
-    of the rows of p = _SPF[n] and n / p, one gather per dyadic block of n
-    (Borwein, Bradley and Crandall, J. Comput. Appl. Math. 121 (2000)).  The
-    Stirling and Bernoulli terms are (points x K) arrays, summed whole.
+    The Dirichlet head n^(-s) is summed _HEAD_POINTS points at a time by
+    :func:`_head`, each table cut at the N of its own largest |t|: a larger N
+    only shrinks a point's Euler-Maclaurin remainder.  n^(-s) is completely
+    multiplicative, so only its prime rows take exp (54 below N = 257;
+    Borwein, Bradley and Crandall, J. Comput. Appl. Math. 121 (2000)).  The
+    Stirling and Bernoulli terms are (points x K) arrays over the whole call,
+    summed whole, with N^(-2) in each rise of the Pochhammer symbol.
 
     The cutoff is N = |t|/4 + 10 with terms to B_80 (_EM_LINE), not |t|/2 + 10
     with B_30 as in :func:`_zeta_em`: near |t| = 1000 the shorter head takes
     about 40 terms, a few more columns of one array here but more rounds of a
     Python loop there, which made the scalar path slower.
     """
-    t_top = float(np.max(np.abs(s.imag)))
-    if t_top > IM_MAX:
+    if float(np.max(np.abs(s.imag))) > IM_MAX:
         raise RangeError(f"_log_xi_terms supported for |Im s| <= {IM_MAX:g}")
     if np.any(s.real != 0.5):
         raise DomainError("_log_xi_terms takes points on the critical line only")
     # log-gamma at s/2 + 1 and its digamma by the Stirling series at
     # a = s/2 + 12: re(s/2 + 1) = 5/4, so 11 steps of the recurrence give
-    # |a| >= 12.25 at every t, as the scalar rule |a| >= 12 asks
+    # |a| >= 12.25 at every t, as the scalar rule |a| >= 12 asks; one log of
+    # their product, below 1e30, differs from the sum of logs by 2 pi i turns
     steps = s[:, None] / 2 + np.arange(1, 12)
-    shift, dshift = np.log(steps).sum(axis=1), (1 / steps).sum(axis=1)
+    shift, dshift = np.log(steps.prod(axis=1)), (1 / steps).sum(axis=1)
     a = s / 2 + 12
     log_a = np.log(a)
     rec = 1 / a
@@ -338,30 +363,24 @@ def _log_xi_terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     odd = np.arange(1, 2 * len(_STIRLING), 2)
     log_gamma, psi = _series((a - 0.5) * log_a - a + 0.5 * LN_2PI, terms,
                              log_a - 0.5 * rec, -(odd * terms * rec[:, None]))
-    # Euler-Maclaurin zeta and zeta' (see _zeta_em)
-    big_n = max(20, int(t_top / 4) + 10)
-    n = np.arange(2, big_n)
-    head = np.empty((big_n, len(s)), dtype=complex)  # row n is n^(-s) from n = 2 on
-    prime = n[_SPF[n] == n]
-    head[prime] = np.exp(np.multiply.outer(-_LOG_N[prime - 1], s))
-    for k in range(2, big_n.bit_length()):  # composites in [2^k, 2^(k+1)): n / p <= n / 2 is done
-        m = n[(n >> k == 1) & (_SPF[n] != n)]
-        head[m] = head[_SPF[m]] * head[m // _SPF[m]]
-    tot = 1 + head[2:].sum(axis=0)
-    head[2:] *= _LOG_N[1:big_n - 1, None]  # a matrix product goes to BLAS, whose threads spin on a busy CPU
-    dtot = -head[2:].sum(axis=0)
-    log_n = math.log(big_n)
+    # Euler-Maclaurin zeta and zeta' (see _zeta_em), the head _HEAD_POINTS points at a time
+    parts = [_head(s[i:i + _HEAD_POINTS]) for i in range(0, len(s), _HEAD_POINTS)]
+    cut, tot, dtot = (np.concatenate(column) for column in zip(*parts))
+    log_n = np.log(cut)
     half = 0.5 * np.exp(-log_n * s)
-    edge = 2 * big_n * half / (s - 1)
+    edge = 2 * cut * half / (s - 1)
     tot += edge + half
     dtot -= edge * (log_n + 1 / (s - 1)) + log_n * half
-    # the rises (s + 2k - 1)(s + 2k) between terms k and k + 1 of the Pochhammer
-    # symbol s(s + 1)...(s + 2k - 2), each with its term of the log-derivative
-    two_k = np.arange(2, 2 * len(_EM_LINE), 2)
-    rise = (s[:, None] + two_k - 1) * (s[:, None] + two_k)
-    terms = (_EM_LINE * _accumulate(np.multiply, s, rise, len(_EM_LINE))
-             * _accumulate(np.divide, np.exp(-log_n * (s + 1)), big_n * big_n, len(_EM_LINE)))
-    dlog = _accumulate(np.add, 1 / s - log_n, (2 * s[:, None] + 2 * two_k - 1) / rise, len(_EM_LINE))
+    # the rises (s + 2k - 1)(s + 2k) = w^2 - 1/4, w = s + 2k - 1/2, between
+    # terms k and k + 1 of the Pochhammer symbol s(s + 1)...(s + 2k - 2), each
+    # with its term 2w / rise of the log-derivative; over N^2, their running
+    # product from s N^(-s-1) carries each term's power of N as well
+    w = s[:, None] + np.arange(1.5, 2 * len(_EM_LINE) - 1, 2)
+    rise = w * w - 0.25
+    dlog = _accumulate(np.add, 1 / s - log_n, 2 * w / rise, len(_EM_LINE))
+    rise /= (cut * cut)[:, None]
+    terms = _accumulate(np.multiply, s * np.exp(-log_n * (s + 1)), rise, len(_EM_LINE))
+    terms *= _EM_LINE
     tot, dtot = _series(tot, terms, dtot, terms * dlog)
     u = s - 1
     value = (log_gamma - shift - (s / 2) * LN_PI) + np.log(u * tot)

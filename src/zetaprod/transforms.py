@@ -75,9 +75,7 @@ class StepFunction:
         """Total weight at positions <= k; accepts a scalar or an array."""
         idx = np.searchsorted(self.positions, k, side="right")
         out = self._cum[idx]
-        if np.ndim(k) == 0:
-            return int(out)
-        return out
+        return int(out) if np.ndim(k) == 0 else out
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         merged: dict[float, int] = {}
@@ -148,9 +146,7 @@ class DensityForm:
             out[m] = formula(k[m], self.a)
         else:
             out = formula(k, self.a)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if out.ndim == 0 else out
 
 
 class TransformEvaluation(NamedTuple):
@@ -247,17 +243,8 @@ def _square_power_series(first: complex, ratio: complex, step: int) -> complex:
     raise ConvergenceError("power series did not converge; ratio too close to 1")
 
 
-_ROW_KINDS = {
-    1: DensityKind.UNIT_STEP,
-    2: DensityKind.K_STEP,
-    3: DensityKind.LNK_STEP,
-    4: DensityKind.K_LNK_STEP,
-    5: DensityKind.LNK_OVER_K_STEP,
-    6: DensityKind.K_SQRT_K,
-    7: DensityKind.K_SQRT_K_LNK,
-    8: DensityKind.INV_K_STEP,
-    9: DensityKind.INV_K2_STEP,
-}
+#: Catalog row r is the transform of the r-th DensityKind; the sawtooth, last, has none.
+_ROW_KINDS = dict(enumerate(list(DensityKind)[:9], start=1))
 
 #: Rows whose catalog entry is a large-|z| truncation rather than an
 #: identity; closed and numeric values then differ by the dropped terms,

@@ -142,9 +142,7 @@ class ZeroList:
     def count_below(self, t):
         """Number of ordinates <= t; scalar or array."""
         out = np.searchsorted(self.ordinates, t, side="right")
-        if np.ndim(t) == 0:
-            return int(out)
-        return out
+        return int(out) if np.ndim(t) == 0 else out
 
     def to_text(self) -> str:
         """The zero-file format: a t_max header, then one ordinate per line."""
@@ -195,10 +193,11 @@ class ZeroList:
 
 #: Most points one call of the array kernel evaluates, read only by
 #: _line_values: the scan's points in order, or the next points of the
-#: brackets refined in lockstep.  For find_zeros(990.92), blocks of 32 were
-#: slower, and 128 within the noise of 64 (best of 21 runs in two sets: 24.3
-#: and 23.4, and 17.2 and 19.3 ms, against 18.0 and 19.0 ms).
-_BLOCK = 64
+#: brackets refined in lockstep.  find_zeros(990.92) took a median 14.1 ms
+#: with 128, against 20.5 / 15.9 / 15.4 ms with 32 / 64 / 96 and 16.4 /
+#: 16.3 ms with 192 / 256, whose larger tables cost some 1,700 minor page
+#: faults a run against none (60 runs each, alternated in one process).
+_BLOCK = 128
 
 
 def _line_values(ts: np.ndarray) -> np.ndarray:
@@ -409,7 +408,8 @@ def find_zeros(t_max: float) -> ZeroList:
     both found by :func:`_hermite_root` (see :func:`_bisect_sign_change`),
     about 2.2 points per zero, all brackets refined in lockstep; the
     returned ordinates lie within 2e-12 of the true zeros.  Both phases
-    evaluate xi on the line in arrays of at most _BLOCK points.
+    evaluate xi on the line in arrays of at most _BLOCK points, 4 / 11 / 20
+    calls of the kernel at t_max = 100 / 500 / 1000.
     A t_max within rounding of an ordinate raises :class:`ProximityError`.
     """
     if not (t_max > 14):

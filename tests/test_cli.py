@@ -351,6 +351,15 @@ def test_out_path_that_cannot_be_opened(capsys, monkeypatch, tmp_path, argv):
     assert err.startswith("error:") and "No such file" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_find_zeros_reports_a_write_only_once_the_file_has_closed(capsys):
+    # the zero file fits the write buffer, so the full device refuses it only
+    # when --out is flushed on closing: no "wrote" line, one error line
+    code, out, err = run(capsys, "find-zeros", "--t-max", "20", "--out", "/dev/full")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "No space left" in err and err.count("\n") == 1
+
+
 # ------------------------------------------------------ tolerances
 
 

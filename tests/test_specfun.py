@@ -461,6 +461,32 @@ def test_line_kernel_takes_exp_only_at_the_primes(monkeypatch):
     assert sorted(entries) == [64, 64, 54 * 64]
 
 
+def test_line_kernel_cuts_each_head_chunk_at_its_own_height(monkeypatch):
+    # One call of 128 points whose two 64-point head chunks lie far apart:
+    # each chunk's cutoff is N = max(20, t/4 + 10) at its own largest t, 27
+    # below t = 70 (9 primes) and 257 below t = 988 (54 primes), so exp sees
+    # one table per chunk besides the two boundary powers at all 128 points.
+    # Each point agrees with its own one-point call, the phase up to 2 pi.
+    ts = np.concatenate((np.linspace(10.0, 70.0, 64), np.linspace(925.0, 988.0, 64)))
+    for t, got in zip(ts.tolist(), _log_xi_terms(0.5 + 1j * ts)[0].tolist()):
+        alone = complex(_log_xi_terms(np.array([0.5 + 1j * t]))[0][0])
+        turns = round((got.imag - alone.imag) / math.tau)
+        assert abs(got - alone - 1j * math.tau * turns) <= 1e-12 * abs(alone), t
+    entries = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            entries.append(np.size(x))
+            return np.exp(x)
+
+    monkeypatch.setattr(specfun, "np", CountingNumpy())
+    _log_xi_terms(0.5 + 1j * ts)
+    assert sorted(entries) == [128, 128, 9 * 64, 54 * 64]
+
+
 def mp_log_xi_slope(s: complex) -> complex:
     s = mp.mpc(s.real, s.imag)
     return complex(mp.digamma(s / 2 + 1) / 2 - mp.log(mp.pi) / 2 + 1 / (s - 1)

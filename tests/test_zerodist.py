@@ -243,7 +243,7 @@ def test_find_zeros_kernel_calls(monkeypatch):
     # every bracket of the scan is refined in one lockstep pass and a round
     # takes more than one call only while over _BLOCK brackets are left
     calls = _count_evaluations(monkeypatch)
-    for t_max, ceiling in ((100.0, 4), (500.0, 17), (1000.0, 36)):
+    for t_max, ceiling in ((100.0, 4), (500.0, 11), (1000.0, 20)):
         calls["line_calls"] = 0
         find_zeros(t_max)
         assert calls["line_calls"] <= ceiling, t_max
@@ -278,9 +278,9 @@ def _worst(reference, rows, log_t):
 
 def test_line_values_match_the_scalar_kernel_and_mpmath():
     # 1,024 points: 32 below t = 24, where log-gamma shifts more than once,
-    # 928 in order, evaluated in blocks of neighbours, and a last block of 64
-    # spread over [10, 1000] in random order, whose points alone would take
-    # cutoffs N from 20 to 260.  _log_xi checks g at each, on _worst's scale
+    # 928 in order, evaluated in blocks of neighbours, and a last head chunk
+    # of 64 spread over [10, 1000] in random order, whose points alone would
+    # take cutoffs N from 20 to 260.  _log_xi checks g at each, on _worst's scale
     # with the kernel's own g'; mpmath, about 44 ms a point here, checks g
     # and g' at every 16th.
     rng = np.random.default_rng(20261019)
@@ -314,10 +314,12 @@ def test_line_kernel_takes_arrays_only_on_the_critical_line():
         specfun._log_xi_terms(np.array([0.5 + 20j, 0.5 + 1200j]))
 
 
-@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("block", [1, 7, 100, 1024])
 def test_find_zeros_does_not_depend_on_the_block_size(monkeypatch, block):
     # blocks of one point evaluate the scan and refine the brackets one at a
-    # time; blocks of 7 split both at points no default block ends on
+    # time; blocks of 7 split both at points no default block ends on; blocks
+    # of 100 end inside the kernel's second head chunk of 64 points, and one
+    # of 1,024 takes a whole round of scan or refinement in one call
     monkeypatch.setattr(zerodist, "_BLOCK", block)
     zeros = find_zeros(500.0)
     expected = _reference_ordinates()[_reference_ordinates() < 500.0]
