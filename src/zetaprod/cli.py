@@ -289,14 +289,9 @@ def _cmd_report(args: argparse.Namespace, write: Write) -> list[str]:
     return []
 
 
-def _add_jobs(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--jobs", type=int, default=1, help="accepted and ignored; refining is serial")
-
-
 def _add_zero_source(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--zero-file", type=Path, default=None,
                     help=f"read ordinates from this file (default: ${ZERO_FILE_ENV}, else compute)")
-    _add_jobs(sp)
 
 
 def _add_common(sp: argparse.ArgumentParser, handler, out_help: str,
@@ -339,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("find-zeros", help="scan for zero ordinates and emit a zero file")
     sp.add_argument("--t-max", type=_finite, required=True, dest="t_max")
-    _add_jobs(sp)
     _add_common(sp, _cmd_find_zeros, "write the zero file here (default: print to stdout)")
 
     sp = sub.add_parser("count", help="actual zero count vs the counting formula")
@@ -396,8 +390,6 @@ def _check_args(args: argparse.Namespace) -> None:
         raise DomainError(f"grid step must be positive, got {args.grid_step!r}")
     if "n_max" in args and args.n_max < 1:
         raise DomainError(f"n must be >= 1, got {args.n_max!r}")
-    if "jobs" in args and args.jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {args.jobs!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -41,27 +41,27 @@ def _log1p_c(x: complex) -> complex:
 class StepFunction:
     """Nondecreasing step function: jumps of positive integer weight at k > 0.
 
-    ``jumps`` is an iterable of (position, weight) pairs with strictly
-    increasing positions.
+    ``jumps`` is an iterable of (position, weight) pairs, or an (n, 2)
+    array, with strictly increasing positions.  A weight must be exact in a
+    double: at most 2**53.
     """
 
     __slots__ = ("positions", "weights", "_cum")
 
     def __init__(self, jumps: Iterable[tuple[float, int]]):
-        pos = []
-        wts = []
-        for k, w in jumps:
-            k = float(k)
-            if not (k > 0) or not math.isfinite(k):
-                raise DomainError(f"jump position must be finite and positive, got {k!r}")
-            if w != int(w) or int(w) < 1:
-                raise DomainError(f"jump weight must be a positive integer, got {w!r}")
-            if pos and k <= pos[-1]:
-                raise DomainError("jump positions must be strictly increasing")
-            pos.append(k)
-            wts.append(int(w))
-        self.positions = np.asarray(pos, dtype=float)
-        self.weights = np.asarray(wts, dtype=np.int64)
+        k, w = np.array([*jumps], dtype=float).reshape(-1, 2).T.copy()
+        bad = ~((k > 0) & (k < math.inf))
+        if bad.any():
+            raise DomainError(
+                f"jump position must be finite and positive, got {float(k[bad][0])!r}"
+            )
+        bad = ~((w >= 1) & (w <= 2.0**53) & (w == np.floor(w)))
+        if bad.any():
+            raise DomainError(f"jump weight must be a positive integer, got {float(w[bad][0])!r}")
+        if np.any(k[1:] <= k[:-1]):
+            raise DomainError("jump positions must be strictly increasing")
+        self.positions = k
+        self.weights = w.astype(np.int64)
         self._cum = np.concatenate(([0], np.cumsum(self.weights)))
 
     def __len__(self) -> int:

@@ -16,9 +16,10 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,13 +83,8 @@ def t5_constant(a: float) -> float:
     return (a / PI) * (2.0 - math.log(a) + LN_2PI) - 1.75 * math.log(a)
 
 
-def n_of_t(t: float) -> float:
-    """Smooth zero count up to height t; same curve as phi_smooth.
-
-    Kept as a separate name because the counting formula is usually
-    written in T while the curve is read in k.
-    """
-    return phi_smooth(t)
+#: Smooth zero count N(t): the curve phi_smooth, named as the formula is written in t.
+n_of_t = phi_smooth
 
 
 def t5(z: complex) -> complex:
@@ -136,8 +132,10 @@ class ZeroList:
     def __len__(self) -> int:
         return len(self.ordinates)
 
-    def to_step(self) -> StepFunction:
-        return StepFunction((float(k), 1) for k in self.ordinates)
+    @cached_property
+    def step(self) -> StepFunction:
+        """The counting measure: a unit jump at each ordinate, built once per list."""
+        return StepFunction(np.column_stack((self.ordinates, np.ones_like(self.ordinates))))
 
     def count_below(self, t):
         """Number of ordinates <= t; scalar or array."""
@@ -155,19 +153,17 @@ class ZeroList:
         Path(path).write_text(self.to_text(), encoding="utf-8")
 
     @classmethod
-    def _parse(cls, lines: Iterable[str], t_max: float | None) -> "ZeroList":
-        header_tmax = None
+    def _parse(cls, lines: Iterable[str]) -> "ZeroList":
+        t_max = None
         vals = []
         for number, raw in enumerate(lines, start=1):
             line = raw.strip()
             if line.startswith("#"):
                 m = re.search(r"t_max\s*[=:]\s*([0-9eE+.\-]+)", line)
                 if m:
-                    header_tmax = _file_number(m.group(1), number, line)
+                    t_max = _file_number(m.group(1), number, line)
             elif line:
                 vals.append(_file_number(line, number, line))
-        if t_max is None:
-            t_max = header_tmax
         if t_max is None:
             if not vals:
                 raise DomainError("zero file has no ordinates and no t_max header")
@@ -175,12 +171,14 @@ class ZeroList:
         return cls(np.asarray(vals, dtype=float), t_max=t_max)
 
     @classmethod
-    def read(cls, path, t_max: float | None = None) -> "ZeroList":
+    def read(cls, path) -> "ZeroList":
+        """The zero file at path.  Only its ``# t_max=`` header sets the height;
+        without one, t_max lies just above the last ordinate."""
         try:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise DomainError(f"zero file {path} is not UTF-8 text ({exc.reason})") from None
-        return cls._parse(text.splitlines(), t_max)
+        return cls._parse(text.splitlines())
 
     @classmethod
     def bundled(cls) -> "ZeroList":
@@ -188,7 +186,7 @@ class ZeroList:
         text = resources.files("zetaprod").joinpath("data/zeros_t100.txt").read_text(
             encoding="utf-8"
         )
-        return cls._parse(text.splitlines(), None)
+        return cls._parse(text.splitlines())
 
 
 #: Most points one call of the array kernel evaluates, read only by
@@ -451,7 +449,7 @@ def residual(z: float, zeros: ZeroList) -> ResidualSample:
     the quadrature estimate.
     """
     z = _check_residual_z(z, zeros)
-    step_part = transform_step(zeros.to_step(), z).real
+    step_part = transform_step(zeros.step, z).real
     zz = z * z
     big_t = zeros.t_max
 
@@ -475,13 +473,13 @@ class ResidualReport:
 
     constant_derived recomputes the plateau from first principles:
     (1/4) ln(pi/2) - ln xi_z(0) - t5_constant(a).  constant_paper is the
-    printed magnitude; the derivation fixes the sign as negative, and the
+    printed magnitude; the derivation fixes the sign as negative, and every
     report carries both so the discrepancy stays visible.
     """
 
     samples: tuple[tuple[float, float, float], ...]
     constant_derived: float
-    constant_paper: float = 0.0464
+    constant_paper: ClassVar[float] = 0.0464
 
 
 def residual_report(z_values: Sequence[float], zeros: ZeroList) -> ResidualReport:

@@ -149,21 +149,21 @@ def test_cosh_demo_refuses_overflowing_imaginary_part(capsys, z):
 # ---------------------------------------------------------------- --jobs
 
 
-def test_jobs_is_accepted_and_ignored(capsys):
-    # the same bytes at a height whose scan needs two rounds of halving
-    code, serial, _ = run(capsys, "find-zeros", "--t-max", "300")
-    assert code == 0 and serial.count("\n") == 140
-    assert run(capsys, "find-zeros", "--t-max", "300", "--jobs", "3") == (0, serial, "")
-
-
 @pytest.mark.parametrize("argv", [
     ("find-zeros", "--t-max", "15"),
     ("count", "--t-max", "50", "--zero-file", BUNDLED),
-], ids=["find-zeros", "count"])
-def test_jobs_below_one_is_refused(capsys, argv):
-    code, out, err = run(capsys, *argv, "--jobs", "0")
-    assert (code, out) == (1, "")
-    assert err == "error: jobs must be >= 1, got 0\n"
+    ("predict", "--n", "3", "--zero-file", BUNDLED),
+    ("residual", "--z", "50", "--t-max", "100", "--zero-file", BUNDLED),
+    ("omega", "--t-max", "50", "--zero-file", BUNDLED),
+    ("report", "--t-max", "50", "--zero-file", BUNDLED),
+], ids=lambda argv: argv[0])
+def test_jobs_is_a_usage_error(capsys, argv):
+    # refining is serial, so there is no worker count to set
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "2"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "unrecognized arguments: --jobs 2" in err
 
 
 def test_cli_import_leaves_out_multiprocessing():

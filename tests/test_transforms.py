@@ -43,12 +43,16 @@ from zetaprod.transforms import (
 
 
 def test_step_function_counts():
-    phi = StepFunction([(1.0, 1), (2.5, 2), (7.0, 1)])
-    assert len(phi) == 3
-    assert phi.count_at(0.5) == 0
-    assert phi.count_at(2.5) == 3
-    assert phi.count_at(100.0) == 4
-    np.testing.assert_array_equal(phi.count_at(np.array([1.0, 3.0])), [1, 3])
+    pairs = [(1.0, 1), (2.5, 2), (7.0, 1)]
+    # a list, a generator and an (n, 2) array of the same pairs build the same measure
+    for phi in (StepFunction(pairs), StepFunction(p for p in pairs), StepFunction(np.array(pairs))):
+        assert len(phi) == 3
+        np.testing.assert_array_equal(phi.positions, [1.0, 2.5, 7.0])
+        assert phi.weights.tolist() == [1, 2, 1] and phi.weights.dtype == np.int64
+        assert phi.count_at(0.5) == 0
+        assert phi.count_at(2.5) == 3
+        assert phi.count_at(100.0) == 4
+        np.testing.assert_array_equal(phi.count_at(np.array([1.0, 3.0])), [1, 3])
 
 
 def test_step_function_add_merges():
@@ -59,14 +63,23 @@ def test_step_function_add_merges():
 
 
 def test_step_function_validation():
-    with pytest.raises(DomainError):
-        StepFunction([(0.0, 1)])
-    with pytest.raises(DomainError):
-        StepFunction([(2.0, 1), (2.0, 1)])
-    with pytest.raises(DomainError):
-        StepFunction([(1.0, 0)])
-    with pytest.raises(DomainError):
-        StepFunction([(1.0, 1.5)])
+    position = "jump position must be finite and positive, got "
+    weight = "jump weight must be a positive integer, got "
+    increasing = "jump positions must be strictly increasing"
+    for jumps, message in (
+        ([(0.0, 1)], position + "0.0"),
+        ([(1.0, 1), (math.nan, 1)], position + "nan"),
+        ([(math.inf, 1)], position + "inf"),
+        ([(2.0, 1), (2.0, 1)], increasing),
+        ([(3.0, 1), (2.0, 1)], increasing),
+        ([(1.0, 0)], weight + "0.0"),
+        ([(1.0, 1.5)], weight + "1.5"),
+        ([(1.0, 1), (2.0, math.nan)], weight + "nan"),
+        ([(1.0, 2.0**60)], weight + "1.152921504606847e+18"),  # above 2**53 doubles skip integers
+    ):
+        with pytest.raises(DomainError) as exc:
+            StepFunction(jumps)
+        assert str(exc.value) == message, jumps
 
 
 def test_transform_step_matches_direct_sum():

