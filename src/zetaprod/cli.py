@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -306,8 +307,10 @@ def _add_common(sp: argparse.ArgumentParser, handler, out_help: str,
     sp.add_argument("--out", type=Path, default=None, dest="output_path", help=out_help)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Declare every subcommand: its options, handler and checked tolerances."""
+    """Declare every subcommand: its options, handler and checked tolerances.  Built once
+    a process: parse_args copies the --tol default list and _check_args rebinds args.tol."""
     parser = argparse.ArgumentParser(
         prog="zetaprod",
         description="Log transforms of zero-counting measures for the symmetrized zeta function.",
@@ -393,8 +396,7 @@ def _check_args(args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _check_args(args)
         # opened (and truncated) before the run, like a shell redirection

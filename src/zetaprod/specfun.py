@@ -338,7 +338,7 @@ def _log_xi_terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     multiplicative, so only its prime rows take exp (54 below N = 257;
     Borwein, Bradley and Crandall, J. Comput. Appl. Math. 121 (2000)).  The
     Stirling and Bernoulli terms are (points x K) arrays over the whole call,
-    summed whole, with N^(-2) in each rise of the Pochhammer symbol.
+    summed whole; the Stirling shift and K come from the call's smallest |t|.
 
     The cutoff is N = |t|/4 + 10 with terms to B_80 (_EM_LINE), not |t|/2 + 10
     with B_30 as in :func:`_zeta_em`: near |t| = 1000 the shorter head takes
@@ -349,20 +349,22 @@ def _log_xi_terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise RangeError(f"_log_xi_terms supported for |Im s| <= {IM_MAX:g}")
     if np.any(s.real != 0.5):
         raise DomainError("_log_xi_terms takes points on the critical line only")
-    # log-gamma at s/2 + 1 and its digamma by the Stirling series at
-    # a = s/2 + 12: re(s/2 + 1) = 5/4, so 11 steps of the recurrence give
-    # |a| >= 12.25 at every t, as the scalar rule |a| >= 12 asks; one log of
-    # their product, below 1e30, differs from the sum of logs by 2 pi i turns
-    steps = s[:, None] / 2 + np.arange(1, 12)
+    # log-gamma and digamma at s/2 + 1 by the Stirling series at a = 5/4 + m + it/2, with m the
+    # fewest recurrence steps to |a| >= 12.25 at the smallest |t| (the scalar rule asks 12): 11 at
+    # t = 0, none above |t| = 24.38; one log of their product (< 1e30) is off by 2 pi i turns only
+    t_half = float(np.min(np.abs(s.imag))) / 2
+    m = sum(abs(complex(1.25 + j, t_half)) < 12.25 for j in range(11))
+    steps = s[:, None] / 2 + np.arange(1, m + 1)
     shift, dshift = np.log(steps.prod(axis=1)), (1 / steps).sum(axis=1)
-    a = s / 2 + 12
-    log_a = np.log(a)
-    rec = 1 / a
-    # the terms c_k a^(1 - 2k) of log-gamma; digamma takes -(2k - 1) c_k a^(-2k) each
-    terms = np.array(_STIRLING) * _accumulate(np.multiply, rec, (rec * rec)[:, None], len(_STIRLING))
-    odd = np.arange(1, 2 * len(_STIRLING), 2)
+    a = s / 2 + 1 + m
+    log_a, rec = np.log(a), 1 / a
+    # log-gamma's terms c_k a^(1 - 2k) and digamma's -(2k - 1) c_k a^(-2k) through the first k
+    # below 1e-16 at the smallest |a|: 7 at 12.25, 4 at 100, and 1 (refused by _series) if none is
+    a_min = abs(complex(1.25 + m, t_half))
+    k = next((j for j, c in enumerate(_STIRLING, 1) if abs(c) * a_min ** (1 - 2 * j) < 1e-16), 1)
+    terms = np.array(_STIRLING[:k]) * _accumulate(np.multiply, rec, (rec * rec)[:, None], k)
     log_gamma, psi = _series((a - 0.5) * log_a - a + 0.5 * LN_2PI, terms,
-                             log_a - 0.5 * rec, -(odd * terms * rec[:, None]))
+                             log_a - 0.5 * rec, -(np.arange(1, 2 * k, 2) * terms * rec[:, None]))
     # Euler-Maclaurin zeta and zeta' (see _zeta_em), the head _HEAD_POINTS points at a time
     parts = [_head(s[i:i + _HEAD_POINTS]) for i in range(0, len(s), _HEAD_POINTS)]
     cut, tot, dtot = (np.concatenate(column) for column in zip(*parts))

@@ -144,10 +144,8 @@ class ZeroList:
 
     def to_text(self) -> str:
         """The zero-file format: a t_max header, then one ordinate per line."""
-        lines = ["# xi zero ordinates (imaginary-axis, z-coordinates)",
-                 f"# t_max={self.t_max:.10g}"]
-        lines += [f"{k:.10f}" for k in self.ordinates]
-        return "\n".join(lines) + "\n"
+        return (f"# xi zero ordinates (imaginary-axis, z-coordinates)\n# t_max={self.t_max:.10g}\n"
+                + "%.10f\n" * len(self) % tuple(self.ordinates.tolist()))
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8")
@@ -189,12 +187,11 @@ class ZeroList:
         return cls._parse(text.splitlines())
 
 
-#: Most points one call of the array kernel evaluates, read only by
-#: _line_values: the scan's points in order, or the next points of the
-#: brackets refined in lockstep.  find_zeros(990.92) took a median 14.1 ms
-#: with 128, against 20.5 / 15.9 / 15.4 ms with 32 / 64 / 96 and 16.4 /
-#: 16.3 ms with 192 / 256, whose larger tables cost some 1,700 minor page
-#: faults a run against none (60 runs each, alternated in one process).
+#: Most points one call of the array kernel evaluates, read only by _line_values, which splits
+#: the scan's points, or the next points of the brackets refined in lockstep, into the fewest such
+#: calls, equal in size up to one.  find_zeros(990.92) took a median 14.1 ms with 128, against
+#: 20.5 / 15.9 / 15.4 ms with 32 / 64 / 96 and 16.4 / 16.3 ms with 192 / 256, whose larger tables
+#: cost some 1,700 minor page faults a run against none (60 runs each, alternated in one process).
 _BLOCK = 128
 
 
@@ -204,17 +201,16 @@ def _line_values(ts: np.ndarray) -> np.ndarray:
 
     Built from the log form L = log xi, so both stay finite where xi itself
     underflows; the factor exp(pi t / 4) cancels the decay of the gamma
-    factor, and dg/dt = g (pi/4 - Im L').  L comes from one call of the
-    array kernel _log_xi_terms per block of at most _BLOCK points.
+    factor, and dg/dt = g (pi/4 - Im L').  L comes from ceil(n / _BLOCK) calls
+    of the array kernel _log_xi_terms at n points, equal in size up to one.
     """
     ts = np.asarray(ts, dtype=float)
     rows = np.empty((len(ts), 2))
-    for i in range(0, len(ts), _BLOCK):
-        t = ts[i:i + _BLOCK]
+    calls = -(-len(ts) // _BLOCK)  # array_split refuses 0 sections; no points need no call
+    for t, row in zip(np.array_split(ts, calls), np.array_split(rows, calls)) if calls else ():
         log_xi, slope = _log_xi_terms(0.5 + 1j * t)
         g = np.cos(log_xi.imag) * np.exp(log_xi.real + 0.25 * PI * t)
-        rows[i:i + _BLOCK, 0] = g
-        rows[i:i + _BLOCK, 1] = g * (0.25 * PI - slope.imag)
+        row[:, 0], row[:, 1] = g, g * (0.25 * PI - slope.imag)  # row is a view into rows
     return rows
 
 
@@ -406,8 +402,8 @@ def find_zeros(t_max: float) -> ZeroList:
     both found by :func:`_hermite_root` (see :func:`_bisect_sign_change`),
     about 2.2 points per zero, all brackets refined in lockstep; the
     returned ordinates lie within 2e-12 of the true zeros.  Both phases
-    evaluate xi on the line in arrays of at most _BLOCK points, 4 / 11 / 20
-    calls of the kernel at t_max = 100 / 500 / 1000.
+    evaluate xi on the line in kernel calls of at most _BLOCK points, equal
+    in size up to one within a batch: 4 / 11 / 20 at t_max = 100 / 500 / 1000.
     A t_max within rounding of an ordinate raises :class:`ProximityError`.
     """
     if not (t_max > 14):

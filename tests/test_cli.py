@@ -426,6 +426,29 @@ def test_residual_tolerance_binds(capsys, bundled_file):
     assert code == 0
 
 
+def test_one_parser_carries_nothing_from_call_to_call(capsys, tmp_path):
+    # main parses every call with the one parser _build_parser caches: a
+    # --tol, an --out or a tolerance table left by one call must not reach
+    # the next.  |residual - constant| at z=50 is 6.4e-4, inside the default
+    # 0.02 and outside 1e-4.
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    sub = next(a for a in parser._actions if a.dest == "subcommand")
+    defaults = {name: dict(sp.get_default("tol_defaults") or {}) for name, sp in sub.choices.items()}
+    residual = ("residual", "--z", "50", "--t-max", "100", "--zero-file", BUNDLED)
+    code, _, err = run(capsys, *residual, "--tol", "residual=1e-4")
+    assert code == 1 and "+- 0.0001" in err
+    code, out, err = run(capsys, *residual)
+    assert code == 0 and err == "" and out.splitlines()[2].startswith("50,")
+    out_file = tmp_path / "z30.txt"
+    code, out, _ = run(capsys, "find-zeros", "--t-max", "30", "--out", str(out_file))
+    assert code == 0 and out == f"wrote 3 zeros to {out_file}\n"
+    code, out, _ = run(capsys, "find-zeros", "--t-max", "30")
+    assert code == 0 and "wrote" not in out and out == out_file.read_text(encoding="utf-8")
+    assert {name: sp.get_default("tol_defaults") or {} for name, sp in sub.choices.items()} == defaults
+    assert sub.choices["residual"]._option_string_actions["--tol"].default == []
+
+
 def _nan_asymptotic(monkeypatch):
     original = cli.log_xi_asymptotic
     monkeypatch.setattr(cli, "log_xi_asymptotic",

@@ -507,7 +507,8 @@ def log_xi_points() -> list[complex]:
 def test_log_xi_slope_against_mpmath():
     # the array kernel at the points on the critical line, in one block with
     # low ones, where |s/2 + 2| < 12 (below t = 23.6) and the digamma sum of
-    # the fixed shift to s/2 + 12 carries more of the slope
+    # the shift, ten steps for every point of a block that starts at t = 10,
+    # carries more of the slope
     line = np.array([s for s in log_xi_points() if s.real == 0.5]
                     + [complex(0.5, t) for t in (10, 12, 16, 20, 23.5, 23.7, 24)])
     assert len(line) == 14
@@ -517,6 +518,46 @@ def test_log_xi_slope_against_mpmath():
         ref = mp_log_xi_slope(s)
         worst = max(worst, abs(slope - ref) / max(1.0, abs(ref)))
     assert worst <= 1e-10
+
+
+def _off_by_turns(x: complex, ref: complex) -> float:
+    """|x - ref| with the imaginary part taken modulo 2 pi."""
+    d = x - ref
+    return abs(complex(d.real, math.remainder(d.imag, 2 * math.pi)))
+
+
+def test_line_kernel_stirling_cut_is_exact_where_it_switches(monkeypatch):
+    # _log_xi_terms shifts s/2 + 1 by the recurrence m times and sums K
+    # Stirling columns, both set by the call's smallest |t|: m falls from 10
+    # at t = 10 to 0 above t = 24.38, and K from 7 to 3 by t = 1000.  One-point
+    # calls from 10 to 40 pass every change of m, and a point's own cut is
+    # checked against m = 10 and K = 7, the cut of a call that adds t = 10, at
+    # heights to 1000; that call's head has the same cutoff N.  Where log xi
+    # is large its phase is not reduced: near t = 990 it is about 3,000, one
+    # ulp 4.5e-13, so kernel is checked against kernel to 1e-15 of |log xi|.
+    widths = set()
+    series = specfun._series
+
+    def recorded(tot, terms, dtot, dterms):
+        widths.add(terms.shape[1])
+        return series(tot, terms, dtot, dterms)
+
+    monkeypatch.setattr(specfun, "_series", recorded)
+    for t in (np.arange(200, 801) / 20).tolist():
+        value = _log_xi_terms(np.array([complex(0.5, t)]))[0][0]
+        assert _off_by_turns(value, _log_xi(complex(0.5, t))) <= 1e-12, t
+    assert widths == {6, 7, len(_EM_LINE)}
+    for t in np.geomspace(10.0, 1000.0, 200).tolist():
+        value = _log_xi_terms(np.array([complex(0.5, t)]))[0][0]
+        with_low = _log_xi_terms(np.array([complex(0.5, t), 0.5 + 10j]))[0][0]
+        assert _off_by_turns(value, with_low) <= 1e-12 + 1e-15 * abs(value), t
+    assert widths == {3, 4, 5, 6, 7, len(_EM_LINE)}
+    # one 128-point call over t in [10, 30] and [950, 990] against its points alone
+    ts = np.concatenate((np.linspace(10.0, 30.0, 64), np.linspace(950.0, 990.0, 64)))
+    values = _log_xi_terms(0.5 + 1j * ts)[0]
+    for t, value in zip(ts.tolist(), values.tolist()):
+        alone = _log_xi_terms(np.array([complex(0.5, t)]))[0][0]
+        assert _off_by_turns(value, alone) <= 1e-12 + 1e-15 * abs(alone), t
 
 
 def test_log_xi_against_mpmath_up_to_2_pi_i():

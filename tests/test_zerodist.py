@@ -249,6 +249,34 @@ def test_find_zeros_kernel_calls(monkeypatch):
         assert calls["line_calls"] <= ceiling, t_max
 
 
+def test_find_zeros_makes_no_runt_kernel_calls(monkeypatch):
+    # _line_values splits each batch of n points into ceil(n / _BLOCK) kernel
+    # calls within one point of each other, so no call of a few points pays
+    # the kernel's fixed cost alone: cut 128 at a time, find_zeros(990.92)
+    # made calls of 2, 1 and 1 points
+    batches = []
+    line_values, kernel = zerodist._line_values, zerodist._log_xi_terms
+
+    def batch(ts):
+        batches.append([len(ts)])
+        return line_values(ts)
+
+    def call(s):
+        batches[-1].append(len(s))
+        return kernel(s)
+
+    monkeypatch.setattr(zerodist, "_line_values", batch)
+    monkeypatch.setattr(zerodist, "_log_xi_terms", call)
+    for t_max in (1000.0, 990.92):
+        batches.clear()
+        find_zeros(t_max)
+        assert sum(len(sizes) - 1 for sizes in batches) <= 20, t_max
+        for n, *sizes in batches:
+            assert sum(sizes) == n and len(sizes) == -(-n // zerodist._BLOCK), (t_max, n, sizes)
+            assert max(sizes) - min(sizes) <= 1, (t_max, sizes)
+            assert min(sizes) >= 64 or n < 64, (t_max, sizes)
+
+
 def _scalar_line_value(t: float) -> float:
     """g from the scalar log xi, _log_xi, one point at a time."""
     log_xi = specfun._log_xi(complex(0.5, t))
@@ -317,9 +345,10 @@ def test_line_kernel_takes_arrays_only_on_the_critical_line():
 @pytest.mark.parametrize("block", [1, 7, 100, 1024])
 def test_find_zeros_does_not_depend_on_the_block_size(monkeypatch, block):
     # blocks of one point evaluate the scan and refine the brackets one at a
-    # time; blocks of 7 split both at points no default block ends on; blocks
-    # of 100 end inside the kernel's second head chunk of 64 points, and one
-    # of 1,024 takes a whole round of scan or refinement in one call
+    # time; blocks of at most 7 split both at points no default block ends
+    # on; blocks of 65 to 100 end inside the kernel's second head chunk of 64
+    # points, and one of 1,024 takes a whole round of scan or refinement in
+    # one call
     monkeypatch.setattr(zerodist, "_BLOCK", block)
     zeros = find_zeros(500.0)
     expected = _reference_ordinates()[_reference_ordinates() < 500.0]
