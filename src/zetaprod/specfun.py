@@ -278,7 +278,7 @@ def _log_xi(s: complex) -> complex:
     gamma factor plus log (w - 1) zeta(w), w = s reflected to re(w) >= 1/2.
     Raises :class:`RangeError` beyond |Im s| <= 1000, like :func:`xi_s`."""
     if abs(s.imag) > IM_MAX:
-        raise RangeError(f"_log_xi supported for |Im s| <= {IM_MAX:g}")
+        raise RangeError(f"log xi supported for |Im s| <= {IM_MAX:g}, got {s.imag:g}")
     w = s if s.real >= 0.5 else 1 - s
     return _log_gamma_factor(w) + cmath.log(_s1_zeta(w))
 
@@ -391,7 +391,7 @@ def _log_xi_terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def log_xi_z(z: complex) -> complex:
-    """Logarithm of xi_z for re(z) > 1/2, assembled term by term.
+    """Logarithm of xi_z for re(z) > 1/2 and |Im z| <= 1000: _log_xi(z + 1/2).
 
     exp(log_xi_z(z)) reproduces xi_z(z); the branch is the analytic one
     inherited from :func:`log_gamma`, which is what the asymptotic
@@ -400,8 +400,7 @@ def log_xi_z(z: complex) -> complex:
     z = _finite(z, "log_xi_z")
     if z.real <= 0.5:
         raise DomainError("log_xi_z requires re(z) > 1/2")
-    s = z + 0.5
-    return _log_gamma_factor(s) + cmath.log(s - 1) + cmath.log(zeta(s))
+    return _log_xi(z + 0.5)
 
 
 @dataclass(frozen=True)
@@ -420,7 +419,7 @@ class XiAsymptoticTerms:
 
 def log_xi_asymptotic(z: complex) -> XiAsymptoticTerms:
     """Asymptotic pieces of log_xi_z, valid for re(z) > 10."""
-    z = complex(z)
+    z = _finite(z, "log_xi_asymptotic")
     if z.real <= 10.0:
         raise DomainError("log_xi_asymptotic requires re(z) > 10")
     return XiAsymptoticTerms(
@@ -434,7 +433,7 @@ def log_xi_asymptotic(z: complex) -> XiAsymptoticTerms:
 
 def ln_zeta_bound_check(z: complex) -> bool:
     """Check |log zeta(z + 1/2)| <= 20 / (19 re(z)) for re(z) > 10."""
-    z = complex(z)
+    z = _finite(z, "ln_zeta_bound_check")
     if z.real <= 10.0:
         raise DomainError("ln_zeta_bound_check requires re(z) > 10")
     return abs(cmath.log(zeta(z + 0.5))) <= 20.0 / (19.0 * z.real)

@@ -281,28 +281,27 @@ def table_row_closed_form(row: int, a: float, z: complex) -> complex:
     z = complex(z)
     if row in (6, 7, 8, 9) and z == 0:
         raise DomainError("z must be nonzero for this row")
-
-    if row == 1:
+    if row in (3, 5) and abs(z) < 1.05 * max(1.0, a):
+        raise DomainError(f"row {row} closed form needs |z| >= 1.05 * max(1, a)")
+    if row in (1, 9):
         w = (z / a) ** 2
         if abs(1 + w) < 1e-12:
             raise SingularityError("1 + z^2/a^2 vanishes")
+
+    if row == 1:
         return _log1p_c(w)
     if row == 2:
         return PI * z - 2 * a
     if row == 3:
-        if abs(z) < 1.05 * max(1.0, a):
-            raise DomainError("row 3 closed form needs |z| >= 1.05 * max(1, a)")
         la = math.log(a)
-        w = (a / z) ** 2
+        v = (a / z) ** 2
         return (cmath.log(z) ** 2 - la * la + PI * PI / 12
-                + la * _log1p_c(w) + 0.5 * _square_power_series(-w, -w, 1))
+                + la * _log1p_c(v) + 0.5 * _square_power_series(-v, -v, 1))
     if row == 4:
         if abs(z) < 1.0:
             raise DomainError("row 4 closed form needs |z| >= 1")
         return PI * z * cmath.log(z) - 2 * a * (math.log(a) - 1.0)
     if row == 5:
-        if abs(z) < 1.05 * max(1.0, a):
-            raise DomainError("row 5 closed form needs |z| >= 1.05 * max(1, a)")
         la = math.log(a)
         x = a / z
         return (2 * (la + 1) / a - PI * cmath.log(z) / z
@@ -315,9 +314,6 @@ def table_row_closed_form(row: int, a: float, z: complex) -> complex:
     if row == 8:
         return 2.0 / a - PI / z + (2.0 / z) * cmath.atan(a / z)
     # row 9
-    w = (z / a) ** 2
-    if abs(1 + w) < 1e-12:
-        raise SingularityError("1 + z^2/a^2 vanishes")
     return 1.0 / (a * a) - _log1p_c(w) / (z * z)
 
 

@@ -31,7 +31,8 @@ from .errors import (
     InsufficientZerosError,
     RangeError,
 )
-from .specfun import LN_2PI, LN_PI, PI, TWO_PI, _log_gamma_any, _log_xi_terms, xi_z, zeta
+from .specfun import (LN_2PI, LN_PI, PI, TWO_PI, _log_gamma_any, _log_xi_terms,
+                      log_xi_asymptotic, xi_z, zeta)
 from .transforms import StepFunction, _nearest_integer, _track_phase, transform_step
 from .transforms import count_zeros_contour  # noqa: F401  bench/tracing.py wraps it here
 
@@ -88,10 +89,9 @@ n_of_t = phi_smooth
 
 
 def t5(z: complex) -> complex:
-    """T4 + t5_constant(a), with T4 = (z/2) ln(z/2pi) - z/2 + (7/4) ln z."""
-    z = complex(z)
-    t4 = (z / 2) * cmath.log(z / TWO_PI) - z / 2 + 1.75 * cmath.log(z)
-    return t4 + t5_constant(A_ROOT)
+    """T4 + t5_constant(a) for re(z) > 10, with T4 = (z/2) ln(z/2pi) - z/2 + (7/4) ln z."""
+    terms = log_xi_asymptotic(z)
+    return terms.t1 + terms.t2 + terms.t3 + t5_constant(A_ROOT)
 
 
 def _file_number(text: str, number: int, line: str) -> float:

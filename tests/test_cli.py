@@ -227,13 +227,22 @@ def test_insufficient_zero_file(capsys, bundled_file):
     (b"# t_max=50\n14.134725\nroot:x:0:0\n", "line 3: expected a number, got 'root:x:0:0'"),
     (b"14.134725\nnan\n", "line 2"),
     (b"\xff\xfe14.134725\n", "not UTF-8"),
-], ids=["text", "nan", "binary"])
+    (b"# just a comment\n", "has no ordinates and no t_max header"),
+], ids=["text", "nan", "binary", "comment-only"])
 def test_malformed_zero_file(capsys, tmp_path, content, where):
     path = tmp_path / "zeros.txt"
     path.write_bytes(content)
     code, out, err = run(capsys, "count", "--t-max", "50", "--zero-file", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: zero file") and where in err
+
+
+def test_predict_needs_as_many_zeros_as_asked(capsys, tmp_path):
+    path = tmp_path / "three.txt"
+    ZeroList(ZeroList.bundled().ordinates[:3], t_max=1000.0).write(path)
+    code, out, err = run(capsys, "predict", "--n", "5", "--zero-file", str(path))
+    assert (code, out) == (1, "")
+    assert "need 5 zeros, zero source provides 3" in err
 
 
 # ---------------------------------------------------------- CSV output
@@ -369,6 +378,14 @@ def test_tol_override_forces_failure(capsys, bundled_file):
                          "--tol", "count=0.1")
     assert code == 1
     assert err.startswith("FAIL:")
+
+
+def test_report_staircase_tolerance_binds(capsys, bundled_file):
+    # below 100 the predicted staircase is at most one zero off the actual one
+    code, _, err = run(capsys, "report", "--t-max", "100", "--step", "0.5",
+                       "--zero-file", str(bundled_file), "--tol", "staircase=0.5")
+    assert code == 1
+    assert "FAIL: actual and predicted staircases differ by 1 > 0.5" in err
 
 
 def test_tol_unknown_name(capsys, bundled_file):

@@ -34,6 +34,7 @@ from zetaprod.specfun import (
     xi_z,
     zeta,
 )
+from zetaprod.zerodist import t5
 
 mp.mp.dps = 30
 
@@ -79,6 +80,18 @@ def test_zeta_trivial_zeros_exact():
     # 5e-324 off -2, zeta is -1.5e-325i, which rounds to 0
     assert zeta(complex(-2.0, 5e-324)) == 0j
     assert zeta(-1e300) == 0j
+
+
+def test_zeta_overflows_at_the_smallest_offset_from_a_far_trivial_zero(monkeypatch):
+    # 5e-324 i zeta'(-2n) is 2.2e306i at -444 but beyond the largest double at
+    # -446, which _at_trivial_zero refuses itself
+    seen = []
+    at_zero = specfun._at_trivial_zero
+    monkeypatch.setattr(specfun, "_at_trivial_zero", lambda s: seen.append(s) or at_zero(s))
+    with pytest.raises(RangeError, match="largest double"):
+        zeta(complex(-446.0, 5e-324))
+    assert seen == [complex(-446.0, 5e-324)]
+    assert 2.1e306 < zeta(complex(-444.0, 5e-324)).imag < 2.2e306
 
 
 @pytest.mark.parametrize("two_n", [444, 100, 20, 2])
@@ -399,7 +412,8 @@ NON_FINITE = (complex(math.nan, 0.0), complex(math.inf, 1.0), complex(-math.inf,
 
 
 @pytest.mark.parametrize("x", NON_FINITE, ids=repr)
-@pytest.mark.parametrize("fn", [zeta, xi_s, xi_z, log_gamma, stirling_w, log_xi_z],
+@pytest.mark.parametrize("fn", [zeta, xi_s, xi_z, log_gamma, stirling_w, log_xi_z,
+                                log_xi_asymptotic, ln_zeta_bound_check, t5],
                          ids=lambda fn: fn.__name__)
 def test_non_finite_argument_refused(fn, x):
     with warnings.catch_warnings():
@@ -596,11 +610,28 @@ def test_log_xi_z_random_vs_mpmath_to_im_max():
         assert abs(complex(d.real, math.remainder(d.imag, 2 * math.pi))) < 1e-11
 
 
+def test_log_xi_z_matches_the_composed_form():
+    # log_xi_z takes log (s - 1) zeta(s) as one log; the form it replaced summed
+    # log (s - 1) and log zeta(s).  Right of the line no 2 pi i turn parts them
+    # (|arg (s - 1) + arg zeta(s)| < pi), and outside the Laurent branch within
+    # 0.02 of s = 1 both end on the same Euler-Maclaurin zeta
+    rng = np.random.default_rng(20261021)
+    re_z = 0.5 + 10.0 ** rng.uniform(-9.0, 1.0, 2000)
+    for z in re_z + 1j * rng.uniform(-1000.0, 1000.0, 2000):
+        s = z + 0.5
+        ref = specfun._log_gamma_factor(s) + cmath.log(s - 1) + cmath.log(zeta(s))
+        got = log_xi_z(z)
+        assert round((got - ref).imag / (2 * math.pi)) == 0, z
+        assert abs(got - ref) <= 1e-15 * abs(ref), z
+
+
 def test_log_xi_z_domain():
     with pytest.raises(DomainError):
         log_xi_z(0.5)
     with pytest.raises(DomainError):
         log_xi_z(-2.0)
+    with pytest.raises(RangeError):
+        log_xi_z(0.6 + 1200j)
 
 
 def test_log_xi_asymptotic_within_bound():

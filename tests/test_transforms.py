@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,26 @@ def test_table_row_closed_form_domain():
         table_row_closed_form(1, -1.0, 2.0)
     with pytest.raises(DomainError):
         table_row_closed_form(3, 2.0, 1.0)  # needs |z| >= 1.05 max(1, a)
+
+
+@pytest.mark.parametrize("row,a,z,error,message", [
+    (1, 2.0, 2j, SingularityError, "1 + z^2/a^2 vanishes"),
+    (9, 2.0, 2j, SingularityError, "1 + z^2/a^2 vanishes"),
+    (3, 2.0, 2.0, DomainError, "row 3 closed form needs |z| >= 1.05 * max(1, a)"),
+    (5, 1.0, 1.0, DomainError, "row 5 closed form needs |z| >= 1.05 * max(1, a)"),
+    (4, 1.0, 0.5, DomainError, "row 4 closed form needs |z| >= 1"),
+    *((row, 1.0, 0.0, DomainError, "z must be nonzero for this row") for row in (6, 7, 8, 9)),
+])
+def test_table_row_closed_form_refusals(row, a, z, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        table_row_closed_form(row, a, z)
+
+
+def test_density_form_validation():
+    with pytest.raises(DomainError, match="kind must be a DensityKind"):
+        DensityForm("unit_step")
+    with pytest.raises(DomainError, match="a must be positive and finite"):
+        DensityForm(DensityKind.UNIT_STEP, a=0)
 
 
 def test_transform_numeric_wedge():
@@ -293,8 +314,16 @@ def test_strip_quad_validation():
         StripQuad(q=0.4, beta=0.0)
     with pytest.raises(DomainError):
         StripQuad(q=10.0, beta=0.5)  # theta way above 1
+    with pytest.raises(DomainError, match="beta must be >= 0"):
+        StripQuad(1.0, -0.1)
+    with pytest.raises(DomainError, match=re.escape("theta must lie in [0, 1)")):
+        StripQuad.from_theta(1.0, 1.5)
+    with pytest.raises(DomainError, match="q must exceed 1/2"):
+        StripQuad.from_theta(0.4, 0.5)
     quad = StripQuad.from_theta(q=3.0, theta=0.7)
     assert abs(quad.theta - 0.7) < 1e-12
+    with pytest.raises(SingularityError, match="double zero"):
+        strip_decomposition_check(quad, 1j * quad.q)
 
 
 def test_strip_quad_degenerate_axis_pair():

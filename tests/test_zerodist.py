@@ -89,12 +89,26 @@ def test_t5_is_t4_plus_constant():
     assert t5(z) == terms.t1 + terms.t2 + terms.t3 + t5_constant(A_ROOT)
 
 
+def test_t5_domain():
+    # T4's logs are those of log_xi_asymptotic, so t5 takes its domain re(z) > 10
+    for z in (0.0, 10.0, -50.0):
+        with pytest.raises(DomainError, match="re\\(z\\) > 10"):
+            t5(z)
+
+
 # ---------------------------------------------------------- zero list
 
 
 def test_zero_list_validation():
     with pytest.raises(DomainError):
         ZeroList(np.array([15.0, 14.0]), t_max=20.0)
+    with pytest.raises(DomainError, match="strictly ascending"):
+        ZeroList(np.array([20.0, 20.0]), t_max=30.0)  # a repeated ordinate
+    with pytest.raises(DomainError, match="one-dimensional"):
+        ZeroList(np.ones((2, 2)), t_max=30.0)
+    for t_max in (-1.0, math.inf):  # an empty list still needs a finite positive t_max
+        with pytest.raises(DomainError, match="t_max must be positive"):
+            ZeroList(np.array([]), t_max=t_max)
     with pytest.raises(DomainError):
         ZeroList(np.array([5.0]), t_max=20.0)  # below the curve root
     with pytest.raises(DomainError):
@@ -683,6 +697,11 @@ def test_crossing_count_wide_interval():
     res = crossing_count(14.0, 50.0)
     assert abs(res.exact - res.midpoint) <= res.bound
     assert res.exact == pytest.approx(phi_smooth(50.0) - phi_smooth(14.0))
+
+
+def test_crossing_count_bound_is_the_documented_one():
+    # (k_b - k_a)^3 / (8 pi k_a^2), the same floats in the same order
+    assert crossing_count(20.0, 23.0).bound == 3.0 ** 3 / (8 * math.pi * 20.0 * 20.0)
 
 
 def test_crossing_count_domain():
